@@ -263,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Poincare ball geometry toolbox: verification suite, "
                     "boundary-driven extension fields, continuity probes, "
                     "graph coloring, separated nets.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for batch evaluation (output "
-                             "order is fixed by input order regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the property-check registry")
@@ -295,9 +292,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        print("--threads must be positive", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.fn(args)
     except (ConfigError, GeometryError) as exc:

@@ -4,7 +4,9 @@ quasigeodesic deviation, comparison triangles, projections onto geodesics.
 Triangle sides are handled as parameter windows on a geodesic normalized to
 the (-e1, e1) diameter.  In that frame the perpendicular foot has a closed
 form, distance to a side segment is exact (clamp the foot parameter to the
-window), and everything vectorizes over sample arrays.
+window), and everything vectorizes over rows.  Thinness is exact too: along
+a side the gap to the other two sides peaks where their distances cross,
+and a lockstep bisection finds that crossing for every side of a batch.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from . import _thinkernel
 from .errors import ConvergenceError, GeometryError
 from .model import (
     INTERIOR_EPS,
@@ -36,7 +37,9 @@ from .model import (
 # Ideal vertices are cut off at this hyperbolic radius from the triangle's
 # base point; beyond it side-to-side distances move by well under 1e-6.
 R_TRUNC = 20.0
-SIDE_SAMPLES = 512
+# Bisection steps of the thinness crossing search: they shrink a window of at
+# most 2 * R_TRUNC = 40 below 1.5e-13, and the gap is 1-Lipschitz along it.
+CROSSING_STEPS = 48
 
 
 def _normalize_rows(v):
@@ -236,18 +239,15 @@ def _sides(t: Triangle, k: CurvatureScale, r_trunc: float = R_TRUNC):
     return sides
 
 
-def thinness(t: Triangle, k: CurvatureScale = K1, *,
-             samples_per_side: int = SIDE_SAMPLES, r_trunc: float = R_TRUNC) -> float:
+def thinness(t: Triangle, k: CurvatureScale = K1, *, r_trunc: float = R_TRUNC) -> float:
     """Smallest delta for which each side lies in the delta-neighborhood of
-    the other two (computed at sample resolution, one refinement pass)."""
+    the other two, found exactly by the crossing search of thinness_batch."""
     coords = np.stack([closure_coords(v) for v in t.vertices])[None, :, :]
     flags = np.array([[is_ideal(v) for v in t.vertices]])
-    return float(thinness_batch(coords, flags, k,
-                                samples_per_side=samples_per_side,
-                                r_trunc=r_trunc)[0])
+    return float(thinness_batch(coords, flags, k, r_trunc=r_trunc)[0])
 
 
-# --- batched thinness (shared kernel; the scalar op wraps batch size 1) ----
+# --- batched thinness (the scalar op wraps batch size 1) --------------------
 
 def _batch_side_endpoints(xa, ideal_a, xb, ideal_b):
     """Ideal endpoints (u toward a, v toward b) for rows of closure points."""
@@ -347,7 +347,7 @@ def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
     """Stacked per-side frames and windows for a batch of triangles.
 
     Returns (m, r0, lo, hi) with shapes (B, 3, n) / (B, 3, n) / (B, 3) / (B, 3)
-    where r0 is the first row of the frame rotation (all the evaluators need).
+    where r0 is the first row of the frame rotation (all the evaluator needs).
     """
     count, _, n = coords.shape
     pairs = ((0, 1), (1, 2), (2, 0))
@@ -388,86 +388,71 @@ def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
     return m_all, r0_all, lo_all, hi_all
 
 
+def _window_dist(pts, m, r0, s_lo, s_hi, lam):
+    """Distance from ball points to side windows, row by row.
+
+    Each side is given by its frame anchor m, the first row r0 of its frame
+    rotation and its window [s_lo, s_hi] in tanh space; all arguments
+    broadcast over leading axes.  The perpendicular foot has a closed form on
+    the frame diameter, and clipping it to the window gives the nearest point
+    of the side segment.
+    """
+    w = _mobius_add(-m, pts)
+    nw2 = np.sum(w * w, axis=-1)
+    z1 = np.sum(w * r0, axis=-1)
+    perp = w - z1[..., None] * r0
+    rho2 = np.sum(perp * perp, axis=-1)
+    disc = ((1.0 - z1) ** 2 + rho2) * ((1.0 + z1) ** 2 + rho2)
+    s = np.clip(2.0 * z1 / ((1.0 + nw2) + np.sqrt(disc)), s_lo, s_hi)
+    d2 = (z1 - s) ** 2 + rho2
+    conf = np.maximum((1.0 - nw2) * (1.0 - s * s), 1e-300)
+    return 2.0 * np.arcsinh(np.sqrt(d2 / conf)) / lam
+
+
 def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
-                   samples_per_side: int = SIDE_SAMPLES, r_trunc: float = R_TRUNC,
-                   chunk: int = 2048, force_numpy: bool = False) -> np.ndarray:
+                   r_trunc: float = R_TRUNC) -> np.ndarray:
     """Thinness of many triangles at once.
 
     coords: (B, 3, n) closure-point coordinates; ideal_flags: (B, 3) booleans.
-    Same sampling scheme as the scalar op: per side, uniform arc-length
-    samples plus one refinement pass around the maximizing sample.  Uses the
-    compiled kernel when numba is available; the numpy path is identical.
+    Along a side, the distances d_A and d_B to the two other sides are convex
+    (CAT(-1)) and each is smallest at the vertex it shares with the side, so
+    d_A - d_B is monotone and the largest gap min(d_A, d_B) sits at its sign
+    change, or at a window end when there is none.  All 3B sides bisect on
+    that sign in lockstep.  The result is the largest gap evaluated, a value
+    the side attains, so it exceeds the sup by float64 rounding at most; the
+    final bracket around the crossing is narrower than 1.5e-13.
     """
     coords = np.asarray(coords, dtype=float)
     ideal_flags = np.asarray(ideal_flags, dtype=bool)
     lam = k.lam
+    count, _, n = coords.shape
     m_all, r0_all, lo_all, hi_all = _prepare_side_data(coords, ideal_flags, lam, r_trunc)
-    s_lo = np.tanh(0.5 * lam * lo_all)
-    s_hi = np.tanh(0.5 * lam * hi_all)
-    if _thinkernel.HAVE_NUMBA and not force_numpy:
-        return _thinkernel.thinness_kernel(m_all, r0_all, lo_all, hi_all,
-                                           s_lo, s_hi, lam, samples_per_side)
-    total = coords.shape[0]
-    out = np.empty(total)
-    for start in range(0, total, chunk):
-        sl = slice(start, min(start + chunk, total))
-        out[sl] = _thinness_eval_numpy(m_all[sl], r0_all[sl], lo_all[sl],
-                                       hi_all[sl], s_lo[sl], s_hi[sl],
-                                       lam, samples_per_side)
-    return out
+    # row (b, i) is side i of triangle b; its neighbours are the other two
+    others = np.array([[1, 2], [2, 0], [0, 1]])
+    m = m_all.reshape(-1, n)
+    r0 = r0_all.reshape(-1, n)
+    nbr_m = m_all[:, others].reshape(-1, 2, n)
+    nbr_r0 = r0_all[:, others].reshape(-1, 2, n)
+    nbr_s_lo = np.tanh(0.5 * lam * lo_all)[:, others].reshape(-1, 2)
+    nbr_s_hi = np.tanh(0.5 * lam * hi_all)[:, others].reshape(-1, 2)
 
+    def dists(t):
+        pts = _clamp_interior(_mobius_add(m, np.tanh(0.5 * lam * t)[:, None] * r0))
+        return _window_dist(pts[:, None, :], nbr_m, nbr_r0, nbr_s_lo, nbr_s_hi, lam)
 
-def _thinness_eval_numpy(m_all, r0_all, lo_all, hi_all, s_lo_all, s_hi_all,
-                         lam, samples):
-    count = m_all.shape[0]
-    frames = [(m_all[:, i], None, None) for i in range(3)]
-    windows = [(lo_all[:, i], hi_all[:, i]) for i in range(3)]
-    grid = np.linspace(0.0, 1.0, samples)
-    fine_grid = np.linspace(-1.0, 1.0, 33)
-    axis_rows = [r0_all[:, i] for i in range(3)]
-    # window endpoints in tanh space: clipping feet there skips a tanh/artanh pair
-    s_windows = [(s_lo_all[:, i], s_hi_all[:, i]) for i in range(3)]
-    best = np.zeros(count)
-    for idx in range(3):
-        m = frames[idx][0]
-        row0 = axis_rows[idx]
-        lo, hi = windows[idx]
-        others = [o for o in range(3) if o != idx]
-
-        def gap(ts):
-            radial = np.tanh(0.5 * lam * ts)
-            pts = _clamp_interior(_mobius_add(
-                m[:, None, :], radial[:, :, None] * row0[:, None, :]))
-            val = None
-            for o in others:
-                mo = frames[o][0]
-                r0 = axis_rows[o]
-                s_lo, s_hi = s_windows[o]
-                w = _mobius_add(-mo[:, None, :], pts)
-                nw2 = np.sum(w * w, axis=-1)
-                z1 = np.sum(w * r0[:, None, :], axis=-1)
-                perp = w - z1[:, :, None] * r0[:, None, :]
-                rho2 = np.sum(perp * perp, axis=-1)
-                disc = ((1.0 - z1) ** 2 + rho2) * ((1.0 + z1) ** 2 + rho2)
-                s = 2.0 * z1 / ((1.0 + nw2) + np.sqrt(disc))
-                s = np.clip(s, s_lo[:, None], s_hi[:, None])
-                d2 = (z1 - s) ** 2 + rho2
-                conf = np.maximum((1.0 - nw2) * (1.0 - s * s), 1e-300)
-                d = 2.0 * np.arcsinh(np.sqrt(d2 / conf)) / lam
-                val = d if val is None else np.minimum(val, d)
-            return val
-
-        ts = lo[:, None] + (hi - lo)[:, None] * grid[None, :]
-        vals = gap(ts)
-        arg = np.argmax(vals, axis=1)
-        coarse = vals[np.arange(count), arg]
-        step = (hi - lo) / max(samples - 1, 1)
-        centers = ts[np.arange(count), arg]
-        fine = centers[:, None] + step[:, None] * fine_grid[None, :]
-        fine = np.clip(fine, lo[:, None], hi[:, None])
-        refined = np.max(gap(fine), axis=1)
-        best = np.maximum(best, np.maximum(coarse, refined))
-    return best
+    lo = lo_all.reshape(-1)
+    hi = hi_all.reshape(-1)
+    d_lo = dists(lo)
+    best = np.maximum(d_lo.min(axis=1), dists(hi).min(axis=1))
+    lo_sign = d_lo[:, 0] > d_lo[:, 1]
+    for _ in range(CROSSING_STEPS):
+        mid = 0.5 * (lo + hi)
+        d = dists(mid)
+        best = np.maximum(best, d.min(axis=1))
+        lo_side = (d[:, 0] > d[:, 1]) == lo_sign
+        lo = np.where(lo_side, mid, lo)
+        hi = np.where(lo_side, hi, mid)
+    return best.reshape(count, 3).max(axis=1)
 
 
 def quasicenter(t: Triangle, k: CurvatureScale = K1, *, seed=None,

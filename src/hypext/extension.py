@@ -141,7 +141,7 @@ def _golden_extreme(fn, lo, hi, iters, want_max):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = sign * fn(d)
-    return max(fc, fd) * sign if want_max else -max(fc, fd) * sign
+    return sign * max(fc, fd)
 
 
 @dataclass

@@ -20,7 +20,6 @@ from .model import (
     K1,
     MobiusIsometry,
     _clamp_interior,
-    _dist_raw,
     _mobius_add,
 )
 
@@ -236,10 +235,3 @@ def translation_along_first_axis(distance: float, n: int = 2,
     shift = np.zeros(n)
     shift[0] = np.tanh(0.5 * k.lam * distance)
     return MobiusIsometry.translation(shift)
-
-
-def displacement_bound(f: InteriorMap, g: InteriorMap, pts,
-                       k: CurvatureScale = K1) -> float:
-    """sup over sampled points of d(f(x), g(x))."""
-    pts = np.asarray(pts, dtype=float)
-    return float(np.max(_dist_raw(k.lam, f.apply_raw(pts), g.apply_raw(pts))))

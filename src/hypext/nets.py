@@ -168,9 +168,3 @@ def write_edge_list(g: Graph, path) -> None:
 def write_coloring(c: Coloring, path) -> None:
     with open(path, "w") as fh:
         json.dump(c.colors, fh)
-
-
-def read_coloring(path) -> Coloring:
-    with open(path) as fh:
-        colors = json.load(fh)
-    return Coloring(colors=list(colors), n_colors=max(colors, default=0))

@@ -162,11 +162,6 @@ class TestParser:
     def test_unknown_subcommand_is_usage_error(self):
         assert run_cli(["frobnицate"]) == 2
 
-    def test_threads_flag_accepted(self, tmp_path):
-        graph = tmp_path / "p2.txt"
-        graph.write_text("0 1\n")
-        assert run_cli(["--threads", "2", "color", str(graph)]) == 0
-
     def test_module_entry_point(self, tmp_path):
         graph = tmp_path / "p3.txt"
         graph.write_text("0 1\n1 2\n")

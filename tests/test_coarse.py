@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from hypext.coarse import (
+    R_TRUNC,
     Triangle,
+    _foot_params_raw,
+    _prepare_side_data,
     area_defect,
     comparison_report,
     hausdorff_distance,
@@ -22,11 +25,14 @@ from hypext.model import (
     IdealPoint,
     K1,
     MobiusIsometry,
+    _dist_raw,
+    _mobius_add,
     angle,
     apply_mobius,
     geodesic_between,
     hyp_dist,
 )
+from hypext.verify import _random_isometry, _random_triangles
 
 K2 = CurvatureScale(2.0)
 E1 = np.array([1.0, 0.0])
@@ -92,7 +98,7 @@ class TestThinness:
         tri = Triangle(ideal(90), ideal(210), ideal(330))
         val = thinness(tri)
         assert val <= np.log(3.0)
-        assert val == pytest.approx(LN_1_SQRT2, abs=1e-6)
+        assert val == pytest.approx(LN_1_SQRT2, abs=1e-9)
 
     def test_lambda_two_is_half(self):
         tri = Triangle(ideal(10), ideal(130), ideal(250))
@@ -114,13 +120,69 @@ class TestThinness:
                      for j in range(3)]
             assert thinness(Triangle(*verts), K1) == pytest.approx(batch[i], abs=1e-10)
 
-    def test_numpy_path_matches_compiled_path(self):
-        gen = np.random.default_rng(5)
-        coords = gen.uniform(-0.5, 0.5, size=(8, 3, 2))
-        flags = np.zeros((8, 3), dtype=bool)
-        fast = thinness_batch(coords, flags, K1)
-        slow = thinness_batch(coords, flags, K1, force_numpy=True)
-        assert np.allclose(fast, slow, atol=1e-11)
+    def test_crossing_never_below_dense_sampling(self):
+        gen = np.random.default_rng(21)
+        for lam in (1.0, 2.0):
+            for n in (2, 3):
+                coords, flags = _random_triangles(gen, 24, n, lam)
+                vals = thinness_batch(coords, flags, CurvatureScale(lam))
+                dist, spacing = _dense_side_distances(coords, flags, lam)
+                ref = dist.min(axis=-1).max(axis=(1, 2))
+                assert np.all(vals >= ref - 1e-12)
+                # the gap is 1-Lipschitz, so the sup is within half a spacing
+                assert np.all(vals <= ref + 0.5 * spacing + 1e-12)
+
+    def test_moved_ideal_triangles_attain_classical_constant(self):
+        gen = np.random.default_rng(22)
+        for lam in (1.0, 2.0):
+            for n in (2, 3):
+                coords, flags = _random_triangles(gen, 40, n, lam, ideal_prob=1.0)
+                for row in coords:
+                    row[:] = _random_isometry(gen, n).apply_ideal_raw(row)
+                vals = thinness_batch(coords, flags, CurvatureScale(lam))
+                assert np.max(np.abs(vals - LN_1_SQRT2 / lam)) <= 1e-9
+
+    def test_maximum_at_window_end(self):
+        # a short truncation leaves side 0 without a crossing of its two
+        # distances, and that side's end carries the triangle's thinness
+        coords = np.stack([ideal(11).direction, ideal(136).direction,
+                           ideal(272).direction])[None]
+        flags = np.ones((1, 3), dtype=bool)
+        val = thinness_batch(coords, flags, K1, r_trunc=1.0)[0]
+        dist, _ = _dense_side_distances(coords, flags, 1.0, r_trunc=1.0)
+        gaps = dist[0].min(axis=-1)
+        assert np.argmax(gaps.max(axis=1)) == 0
+        diff = dist[0, 0, :, 0] - dist[0, 0, :, 1]
+        assert np.all(np.sign(diff) == np.sign(diff[0]))
+        assert np.argmax(gaps[0]) in (0, DENSE - 1)
+        assert val == pytest.approx(gaps.max(), abs=1e-12)
+
+
+# Dense reference for thinness: distances from DENSE points of each side
+# window to the other two windows, by model._dist_raw to the perpendicular
+# foot clamped into the window.
+DENSE = 16384
+
+
+def _dense_side_distances(coords, flags, lam, r_trunc=R_TRUNC):
+    """(B, 3, DENSE, 2) distances from the points of each side window to the
+    windows of the other two sides, and the largest sample spacing (B,)."""
+    m, r0, lo, hi = _prepare_side_data(coords, flags, lam, r_trunc)
+    ts = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, DENSE)
+    out = np.empty(ts.shape + (2,))
+    for i in range(3):
+        pts = _mobius_add(m[:, i, None], np.tanh(0.5 * lam * ts[:, i])[..., None]
+                          * r0[:, i, None])
+        for slot, j in enumerate(o for o in range(3) if o != i):
+            w = _mobius_add(-m[:, j, None], pts)
+            z1 = np.sum(w * r0[:, j, None], axis=-1)
+            rho = np.linalg.norm(w - z1[..., None] * r0[:, j, None], axis=-1)
+            foot = _foot_params_raw(np.stack([z1, rho], axis=-1), lam)
+            foot = np.clip(foot, lo[:, j, None], hi[:, j, None])
+            near = _mobius_add(m[:, j, None], np.tanh(0.5 * lam * foot)[..., None]
+                               * r0[:, j, None])
+            out[:, i, :, slot] = _dist_raw(lam, pts, near)
+    return out, np.max(hi - lo, axis=1) / (DENSE - 1)
 
 
 class TestQuasicenter:

@@ -5,9 +5,12 @@ measurements, continuity moduli, and comparisons with interior maps."""
 import numpy as np
 import pytest
 
+from hypext.coarse import _DiameterFrame
 from hypext.errors import GeometryError
 from hypext.extension import (
     ExtensionConfig,
+    _golden_extreme,
+    _ideal_foot_params,
     basepoint_sensitivity,
     boundary_bounds_check,
     compare_to_interior,
@@ -23,6 +26,7 @@ from hypext.maps import (
     composite,
     identity_map,
     jittered_isometry,
+    latitude_warp,
     mobius_boundary,
     mobius_map,
     polar_warp,
@@ -196,6 +200,25 @@ class TestSpanAndBands:
                    for c in sample_ball_hyperbolic(gen, 100, 2, 1.0, 6.0)]
         assert max(lengths) > 0.0
         assert max(lengths) < 1.0
+
+    def test_golden_extreme_minimum(self):
+        assert _golden_extreme(lambda t: (t - 1.0) ** 2 + 2.0, 0.0, 3.0, 40, False) == \
+            pytest.approx(2.0, abs=1e-12)
+        assert _golden_extreme(lambda t: 5.0 - (t - 1.0) ** 2, 0.0, 3.0, 40, True) == \
+            pytest.approx(5.0, abs=1e-12)
+
+    def test_three_dim_span_matches_dense_equator(self):
+        h = latitude_warp(0.15, 2, 3)
+        p = IdealPoint([-1.0, 0.0, 0.0])
+        cfg = ExtensionConfig(p=p)
+        for coords in sample_ball_hyperbolic(rng_from(31), 8, 3, 1.0, 4.0):
+            x = BallPoint(coords)
+            span = projection_span(h, cfg, x)
+            axis = geodesic_between(h(q_of(x, p)), h(p))
+            dirs = np.array([e.direction for e in equator(x, p, 8192)])
+            feet = _ideal_foot_params(_DiameterFrame.of(axis), h.apply_raw(dirs))
+            assert span.t_min == pytest.approx(np.nanmin(feet), abs=1e-4)
+            assert span.t_max == pytest.approx(np.nanmax(feet), abs=1e-4)
 
     def test_source_band_is_homogeneous(self):
         gen = rng_from(7)
