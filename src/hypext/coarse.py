@@ -1,12 +1,13 @@
 """Coarse measurements: thin triangles, quasicenters, Hausdorff distance,
 quasigeodesic deviation, comparison triangles, projections onto geodesics.
 
-Triangle sides are handled as parameter windows on a geodesic normalized to
-the (-e1, e1) diameter.  In that frame the perpendicular foot has a closed
-form, distance to a side segment is exact (clamp the foot parameter to the
-window), and everything vectorizes over rows.  Thinness is exact too: along
-a side the gap to the other two sides peaks where their distances cross,
-and a lockstep bisection finds that crossing for every side of a batch.
+Triangles become sides in one place, ``_prepare_side_data``: parameter
+windows, with ideal vertices truncated alike, on geodesics normalized to the
+(-e1, e1) diameter.  There the perpendicular foot has a closed form, distance
+to a side is exact (clamp the foot parameter to the window), and everything
+vectorizes over rows.  Thinness and quasicenters measure the same windows.
+Thinness is exact: along a side the gap to the other two sides peaks where
+their distances cross, and a lockstep bisection finds that crossing.
 """
 
 from dataclasses import dataclass
@@ -68,6 +69,12 @@ def _axis_points_raw(t, lam, n):
     return out
 
 
+def _side_points(m, r0, t, lam):
+    """Points at arc-length parameters t on geodesics given by their frame
+    anchor m and the first row r0 of their frame rotation; broadcasts."""
+    return _clamp_interior(_mobius_add(m, np.tanh(0.5 * lam * t)[..., None] * r0))
+
+
 # ---------------------------------------------------------------------------
 # diameter frames
 # ---------------------------------------------------------------------------
@@ -97,13 +104,6 @@ class _DiameterFrame:
         z = z / np.linalg.norm(z, axis=-1, keepdims=True)
         return z @ self.rot.T
 
-    def from_frame(self, pts):
-        return _clamp_interior(_mobius_add(self.m, np.asarray(pts, dtype=float) @ self.rot))
-
-    def axis_points(self, t):
-        """Points of the diameter at arc-length parameters t (frame coords)."""
-        return _axis_points_raw(t, self.lam, self.m.shape[0])
-
     def foot_params(self, z):
         """Arc-length parameter of the perpendicular foot on the diameter.
 
@@ -111,11 +111,6 @@ class _DiameterFrame:
         a diameter endpoint are rejected by callers beforehand.
         """
         return _foot_params_raw(z, self.lam)
-
-    def window_dist(self, z, lo, hi):
-        """Distance from frame points z to the diameter segment [lo, hi]."""
-        t = np.clip(self.foot_params(z), lo, hi)
-        return _dist_raw(self.lam, z, self.axis_points(t))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +126,7 @@ def orthogonal_project(q: ClosurePoint, g: Geodesic) -> BallPoint:
             raise GeometryError("projection undefined for an ideal endpoint of the geodesic")
     else:
         z = frame.to_frame(q.coords)
-    t = frame.foot_params(z)
-    return BallPoint(frame.from_frame(frame.axis_points(t)))
+    return BallPoint(_side_points(frame.m, frame.rot[0], frame.foot_params(z), frame.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -169,81 +163,17 @@ class TriangleReport:
     corresponding_dist_one: float = float("nan")
 
 
-@dataclass
-class _Side:
-    frame: _DiameterFrame
-    lo: float
-    hi: float
-
-    def dist_from_world(self, pts):
-        return self.frame.window_dist(self.frame.to_frame(pts), self.lo, self.hi)
-
-    def sample_world(self, count):
-        ts = np.linspace(self.lo, self.hi, count)
-        return self.frame.from_frame(self.frame.axis_points(ts)), ts
-
-    def world_at(self, ts):
-        return self.frame.from_frame(self.frame.axis_points(np.asarray(ts, dtype=float)))
-
-
-def _base_point(t: Triangle, k: CurvatureScale) -> np.ndarray:
-    """A point of the triangle as close to the origin as available.
-
-    Candidates are the interior vertices and the three side anchors; the
-    smallest-norm one keeps the truncation ball representable even for
-    slivers hugging the boundary sphere.
-    """
-    candidates = [v.coords for v in t.vertices if not is_ideal(v)]
-    for va, vb in ((t.v1, t.v2), (t.v2, t.v3), (t.v3, t.v1)):
-        candidates.append(geodesic_between(va, vb, k).anchor.coords)
-    norms = [np.linalg.norm(c) for c in candidates]
-    return candidates[int(np.argmin(norms))]
-
-
-# Coordinates are only representable out to hyperbolic radius ~23/lam from
-# the origin (tanh saturates).  The truncation ball is shrunk so every sampled
-# tail stays representable; the same ball cuts all three sides, which keeps
-# truncation consistent near shared ideal vertices.  Tail gaps decay like
-# e^(-lam t), so the shrink changes thinness by far less than 1e-3.
-_SAFE_REACH = 23.0
-
-
-def _effective_trunc(lam, d0_base, r_trunc):
-    return min(r_trunc, max(_SAFE_REACH / lam - d0_base, 1.0))
-
-
-def _truncation_cut(lam, d_perp, r_trunc):
-    ratio = np.cosh(lam * r_trunc) / np.cosh(lam * d_perp)
-    if ratio <= 1.0:
-        return 0.0
-    return float(np.arccosh(ratio) / lam)
-
-
-def _sides(t: Triangle, k: CurvatureScale, r_trunc: float = R_TRUNC):
-    base = _base_point(t, k)
-    r_eff = _effective_trunc(k.lam, float(_dist_raw(k.lam, np.zeros_like(base), base)),
-                             r_trunc)
-    sides = []
-    for va, vb in ((t.v1, t.v2), (t.v2, t.v3), (t.v3, t.v1)):
-        g = geodesic_between(va, vb, k)
-        frame = _DiameterFrame.of(g)
-        t_foot = float(frame.foot_params(frame.to_frame(base)))
-        d_perp = float(_dist_raw(k.lam, frame.to_frame(base),
-                                 frame.axis_points(np.asarray(t_foot))))
-        cut = _truncation_cut(k.lam, d_perp, r_eff)
-        lo = g.param_of(va) if not is_ideal(va) else t_foot - cut
-        hi = g.param_of(vb) if not is_ideal(vb) else t_foot + cut
-        if lo > hi:
-            lo, hi = hi, lo
-        sides.append(_Side(frame=frame, lo=lo, hi=hi))
-    return sides
+def _triangle_arrays(t: Triangle):
+    """(1, 3, n) vertex coordinates and (1, 3) ideal flags of one triangle."""
+    coords = np.stack([closure_coords(v) for v in t.vertices])[None, :, :]
+    flags = np.array([[is_ideal(v) for v in t.vertices]])
+    return coords, flags
 
 
 def thinness(t: Triangle, k: CurvatureScale = K1, *, r_trunc: float = R_TRUNC) -> float:
     """Smallest delta for which each side lies in the delta-neighborhood of
     the other two, found exactly by the crossing search of thinness_batch."""
-    coords = np.stack([closure_coords(v) for v in t.vertices])[None, :, :]
-    flags = np.array([[is_ideal(v) for v in t.vertices]])
+    coords, flags = _triangle_arrays(t)
     return float(thinness_batch(coords, flags, k, r_trunc=r_trunc)[0])
 
 
@@ -333,14 +263,17 @@ def _batch_to_frame(m, rot, pts):
     return np.einsum("bij,bsj->bsi", rot, w)
 
 
-def _batch_from_frame(m, rot, z):
-    w = np.einsum("bsj,bji->bsi", z, rot)
-    return _clamp_interior(_mobius_add(m[:, None, :], w))
-
-
 def _batch_axis_param(z, lam):
     r = np.minimum(np.linalg.norm(z, axis=-1), 1.0 - INTERIOR_EPS)
     return 2.0 * np.arctanh(r) * np.sign(z[..., 0]) / lam
+
+
+# Coordinates are only representable out to hyperbolic radius ~23/lam from
+# the origin (tanh saturates).  The truncation ball is shrunk so every window
+# end stays representable; the same ball cuts all three sides, which keeps
+# truncation consistent near shared ideal vertices.  Tail gaps decay like
+# e^(-lam t), so the shrink changes thinness by far less than 1e-3.
+_SAFE_REACH = 23.0
 
 
 def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
@@ -351,18 +284,15 @@ def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
     """
     count, _, n = coords.shape
     pairs = ((0, 1), (1, 2), (2, 0))
-    m_all = np.empty((count, 3, n))
-    r0_all = np.empty((count, 3, n))
-    lo_all = np.empty((count, 3))
-    hi_all = np.empty((count, 3))
     frames = []
     for i, j in pairs:
         u, v = _batch_side_endpoints(coords[:, i], ideal_flags[:, i],
                                      coords[:, j], ideal_flags[:, j])
         frames.append(_batch_frames(u, v))
 
-    # base point: smallest-norm candidate among interior vertices and the
-    # three side anchors (matches _base_point on the scalar path)
+    # base point: the smallest-norm candidate among interior vertices and
+    # the three side anchors keeps the truncation ball representable even
+    # for slivers hugging the boundary sphere
     cand = np.concatenate([coords, np.stack([fr[0] for fr in frames], axis=1)], axis=1)
     cand_norm = np.linalg.norm(cand, axis=2)
     cand_norm[:, :3] = np.where(ideal_flags, np.inf, cand_norm[:, :3])
@@ -371,7 +301,8 @@ def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
     d0_base = _dist_raw(lam, np.zeros_like(base), base)
     r_eff = np.minimum(r_trunc, np.maximum(_SAFE_REACH / lam - d0_base, 1.0))
 
-    for side, ((i, j), (m, _, rot)) in enumerate(zip(pairs, frames)):
+    sides = []
+    for (i, j), (m, _, rot) in zip(pairs, frames):
         zb = _batch_to_frame(m, rot, base[:, None, :])[:, 0, :]
         t_foot = _foot_params_raw(zb, lam)
         d_perp = _dist_raw(lam, zb, _axis_points_raw(t_foot, lam, n))
@@ -381,11 +312,8 @@ def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
         zb2 = _batch_to_frame(m, rot, coords[:, None, j, :])[:, 0, :]
         lo = np.where(ideal_flags[:, i], t_foot - cut, _batch_axis_param(za, lam))
         hi = np.where(ideal_flags[:, j], t_foot + cut, _batch_axis_param(zb2, lam))
-        m_all[:, side] = m
-        r0_all[:, side] = rot[:, 0, :]
-        lo_all[:, side] = np.minimum(lo, hi)
-        hi_all[:, side] = np.maximum(lo, hi)
-    return m_all, r0_all, lo_all, hi_all
+        sides.append((m, rot[:, 0, :], np.minimum(lo, hi), np.maximum(lo, hi)))
+    return tuple(np.stack(a, axis=1) for a in zip(*sides))
 
 
 def _window_dist(pts, m, r0, s_lo, s_hi, lam):
@@ -409,24 +337,19 @@ def _window_dist(pts, m, r0, s_lo, s_hi, lam):
     return 2.0 * np.arcsinh(np.sqrt(d2 / conf)) / lam
 
 
-def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
-                   r_trunc: float = R_TRUNC) -> np.ndarray:
-    """Thinness of many triangles at once.
+def _side_gaps(m_all, r0_all, lo_all, hi_all, lam):
+    """(B, 3) sup over each side of its distance to the nearer other side.
 
-    coords: (B, 3, n) closure-point coordinates; ideal_flags: (B, 3) booleans.
-    Along a side, the distances d_A and d_B to the two other sides are convex
-    (CAT(-1)) and each is smallest at the vertex it shares with the side, so
-    d_A - d_B is monotone and the largest gap min(d_A, d_B) sits at its sign
-    change, or at a window end when there is none.  All 3B sides bisect on
-    that sign in lockstep.  The result is the largest gap evaluated, a value
-    the side attains, so it exceeds the sup by float64 rounding at most; the
-    final bracket around the crossing is narrower than 1.5e-13.
+    Takes the side data of _prepare_side_data.  Along a side, the distances
+    d_A and d_B to the two other sides are convex (CAT(-1)) and each is
+    smallest at the vertex it shares with the side, so d_A - d_B is monotone
+    and the largest gap min(d_A, d_B) sits at its sign change, or at a window
+    end when there is none.  All 3B sides bisect on that sign in lockstep.
+    Each gap is the largest one evaluated, a value the side attains, so it
+    exceeds the sup by float64 rounding at most; the final bracket around the
+    crossing is narrower than 1.5e-13.
     """
-    coords = np.asarray(coords, dtype=float)
-    ideal_flags = np.asarray(ideal_flags, dtype=bool)
-    lam = k.lam
-    count, _, n = coords.shape
-    m_all, r0_all, lo_all, hi_all = _prepare_side_data(coords, ideal_flags, lam, r_trunc)
+    count, _, n = m_all.shape
     # row (b, i) is side i of triangle b; its neighbours are the other two
     others = np.array([[1, 2], [2, 0], [0, 1]])
     m = m_all.reshape(-1, n)
@@ -437,7 +360,7 @@ def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
     nbr_s_hi = np.tanh(0.5 * lam * hi_all)[:, others].reshape(-1, 2)
 
     def dists(t):
-        pts = _clamp_interior(_mobius_add(m, np.tanh(0.5 * lam * t)[:, None] * r0))
+        pts = _side_points(m, r0, t, lam)
         return _window_dist(pts[:, None, :], nbr_m, nbr_r0, nbr_s_lo, nbr_s_hi, lam)
 
     lo = lo_all.reshape(-1)
@@ -452,26 +375,42 @@ def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
         lo_side = (d[:, 0] > d[:, 1]) == lo_sign
         lo = np.where(lo_side, mid, lo)
         hi = np.where(lo_side, hi, mid)
-    return best.reshape(count, 3).max(axis=1)
+    return best.reshape(count, 3)
+
+
+def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
+                   r_trunc: float = R_TRUNC) -> np.ndarray:
+    """Thinness of many triangles at once: the largest of each triangle's
+    three side gaps, found exactly by a crossing search (see _side_gaps).
+
+    coords: (B, 3, n) closure-point coordinates; ideal_flags: (B, 3) booleans.
+    """
+    coords = np.asarray(coords, dtype=float)
+    ideal_flags = np.asarray(ideal_flags, dtype=bool)
+    sides = _prepare_side_data(coords, ideal_flags, k.lam, r_trunc)
+    return _side_gaps(*sides, k.lam).max(axis=1)
 
 
 def quasicenter(t: Triangle, k: CurvatureScale = K1, *, seed=None,
                 max_iter: int = 10_000, f_tol: float = 1e-10):
     """Minimizer of the max distance to the three sides and the attained value.
 
-    Derivative-free simplex descent in ball coordinates; raises
+    Exact distances to the truncated side windows that thinness measures;
+    derivative-free simplex descent in ball coordinates; raises
     ConvergenceError (carrying the best iterate) at the iteration cap.
     """
-    sides = _sides(t, k)
-    n = closure_coords(t.v1).shape[0]
+    coords, flags = _triangle_arrays(t)
+    lam = k.lam
+    m, r0, lo, hi = (a[0] for a in _prepare_side_data(coords, flags, lam, R_TRUNC))
+    s_lo, s_hi = np.tanh(0.5 * lam * lo), np.tanh(0.5 * lam * hi)
+    n = m.shape[1]
 
     def objective(w):
         if np.linalg.norm(w) >= 1.0 - INTERIOR_EPS:
             return 1e6 + np.linalg.norm(w)
-        p = w[None, :]
-        return float(max(s.dist_from_world(p)[0] for s in sides))
+        return float(_window_dist(w, m, r0, s_lo, s_hi, lam).max())
 
-    mids = np.stack([s.world_at(np.asarray(0.5 * (s.lo + s.hi))) for s in sides])
+    mids = _side_points(m, r0, 0.5 * (lo + hi), lam)
     start = _clamp_interior(mids.mean(axis=0) * 0.999)
     spread = 0.05
     simplex = np.vstack([start, start + spread * np.eye(n)])
@@ -543,7 +482,7 @@ def quasigeodesic_deviation(path, a: ClosurePoint, b: ClosurePoint,
     if lo > hi:
         lo, hi = hi, lo
     count = geodesic_samples or max(256, 4 * pts.shape[0])
-    geo = frame.from_frame(frame.axis_points(np.linspace(lo, hi, count)))
+    geo = _side_points(frame.m, frame.rot[0], np.linspace(lo, hi, count), frame.lam)
     return hausdorff_distance(k, pts, geo)
 
 

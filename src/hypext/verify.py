@@ -390,8 +390,9 @@ def check_lemma_2_4_bound(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 11)
     total = cfg.count(10_000, 30)
     worst = 0.0
-    made = 0
-    while made < total:
+    made = attempts = 0
+    while made < total and attempts < 100 * total:
+        attempts += 1
         got = _admissible_angle_config(rng, int(rng.integers(2, 4)), np.pi / 2.0)
         if got is None:
             continue
@@ -409,31 +410,41 @@ def check_lemma_2_4_bound(cfg: VerifyConfig) -> CheckResult:
                         orthogonal_project(BallPoint([0.0, 0.0]),
                                            geodesic_between(IdealPoint(e1), IdealPoint(e2))))
     att_err = abs(attained - LN_1_SQRT2)
-    # Hausdorff clause on a smaller sample
-    hd_worst = 0.0
+    # Hausdorff clause on a smaller sample, one batch per dimension
+    by_dim = {2: [], 3: []}
     for _ in range(cfg.count(300, 6)):
         got = _admissible_angle_config(rng, int(rng.integers(2, 4)), np.pi / 2.0,
                                        ideal_prob=0.5)
         if got is None:
             continue
-        x, y, z, _ = got
         try:
-            tri = Triangle(x, y, z)
+            tri = Triangle(*got[:3])
         except Exception:
             continue
-        sides = coarse._sides(tri, K1)
-        far = sides[1]           # side yz
-        legs = (sides[0], sides[2])
-        pts, _ = far.sample_world(256)
-        to_far = np.minimum(legs[0].dist_from_world(pts), legs[1].dist_from_world(pts))
-        hd_worst = max(hd_worst, float(np.max(to_far)))
-        for leg in legs:
-            lp, _ = leg.sample_world(256)
-            hd_worst = max(hd_worst, float(np.max(far.dist_from_world(lp))))
+        by_dim[got[0].coords.size].append(coarse._triangle_arrays(tri))
+    hd_worst = max([_obtuse_hausdorff_sup(*map(np.concatenate, zip(*arrays)))
+                    for arrays in by_dim.values() if arrays], default=0.0)
     thr = LN_1_SQRT2 + 1e-3
-    ok = worst <= thr and att_err <= 1e-6 and hd_worst <= thr
-    return CheckResult("lemma_2_4_bound", "lemma_2_4", total, worst, thr, ok, el(),
-                       detail={"attainment_error": att_err, "hausdorff_sup": hd_worst})
+    ok = made == total and worst <= thr and att_err <= 1e-6 and hd_worst <= thr
+    return CheckResult("lemma_2_4_bound", "lemma_2_4", made, worst, thr, ok, el(),
+                       detail={"attainment_error": att_err, "hausdorff_sup": hd_worst,
+                               "attempts": attempts})
+
+
+def _obtuse_hausdorff_sup(coords, flags):
+    """Hausdorff clause of lemma 2.4 over triangles (x, y, z) at curvature -1.
+
+    The larger of the sup over the far side yz of the distance to the nearer
+    leg (that side's gap in the thinness crossing search) and the sup over
+    the legs xy and zx of the distance to yz.  Distance to the convex side yz
+    is convex along a leg, so each leg's sup sits at one of its window ends.
+    """
+    m, r0, lo, hi = sides = coarse._prepare_side_data(coords, flags, 1.0, coarse.R_TRUNC)
+    leg_ends = coarse._side_points(m[:, [0, 0, 2, 2]], r0[:, [0, 0, 2, 2]],
+                                   np.stack([lo[:, 0], hi[:, 0], lo[:, 2], hi[:, 2]], 1), 1.0)
+    to_far = coarse._window_dist(leg_ends, m[:, 1:2], r0[:, 1:2], np.tanh(0.5 * lo[:, 1:2]),
+                                 np.tanh(0.5 * hi[:, 1:2]), 1.0)
+    return float(max(coarse._side_gaps(*sides, 1.0)[:, 1].max(), to_far.max()))
 
 
 def _thick_base_config(rng, min_angle, max_reach):
@@ -550,8 +561,9 @@ def check_quasicenter_uniqueness(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 15)
     trials = cfg.count(50, 5)
     worst = 0.0
-    made = 0
-    while made < trials:
+    made = attempts = 0
+    while made < trials and attempts < 100 * trials:
+        attempts += 1
         n = int(rng.integers(2, 4))
         coords, flags = _random_triangles(rng, 1, n, 1.0, ideal_prob=0.3, radius=3.0)
         verts = [IdealPoint(coords[0, j]) if flags[0, j] else BallPoint(coords[0, j])
@@ -564,8 +576,9 @@ def check_quasicenter_uniqueness(cfg: VerifyConfig) -> CheckResult:
             continue
         worst = max(worst, hyp_dist(K1, w1, w2))
         made += 1
-    return CheckResult("quasicenter_uniqueness", "quasicenter", trials, worst,
-                       1e-4, worst < 1e-4, el())
+    return CheckResult("quasicenter_uniqueness", "quasicenter", made, worst,
+                       1e-4, made == trials and worst < 1e-4, el(),
+                       detail={"attempts": attempts})
 
 
 def check_comparison_angles(cfg: VerifyConfig) -> CheckResult:
@@ -576,8 +589,9 @@ def check_comparison_angles(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 16)
     trials = cfg.count(200, 6)
     worst = 0.0
-    made = 0
-    while made < trials:
+    made = attempts = 0
+    while made < trials and attempts < 100 * trials:
+        attempts += 1
         n = int(rng.integers(2, 4))
         lam = float(rng.choice([1.5, 2.0]))
         k = CurvatureScale(lam)
@@ -595,8 +609,9 @@ def check_comparison_angles(cfg: VerifyConfig) -> CheckResult:
         worst = max(worst, rep.corresponding_dist_lambda - rep.corresponding_dist_actual)
         worst = max(worst, rep.corresponding_dist_actual - rep.corresponding_dist_one)
         made += 1
-    return CheckResult("comparison_angles", "comparison_triangles", trials, worst,
-                       1e-8, worst < 1e-8, el())
+    return CheckResult("comparison_angles", "comparison_triangles", made, worst,
+                       1e-8, made == trials and worst < 1e-8, el(),
+                       detail={"attempts": attempts})
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +634,6 @@ def check_lemma_2_5_bridge(cfg: VerifyConfig) -> CheckResult:
         for eps in eps_grid:
             big_angle = a >= eps
             delta1 = float(d[big_angle].min()) if np.any(big_angle) else np.inf
-            big_d = d >= eps if np.any(d >= eps) else None
             delta2 = float(a[d >= eps].min()) if np.any(d >= eps) else np.inf
             min_env = min(min_env, delta1, delta2)
     return CheckResult("lemma_2_5_bridge", "lemma_2_5", per * 2, float(min_env),
@@ -634,8 +648,9 @@ def check_lemma_2_6_proximity(cfg: VerifyConfig) -> CheckResult:
     total = cfg.count(4_000, 50)
     eps_grid = (0.05, 0.15, 0.5)
     rows = []
-    made = 0
-    while made < total:
+    made = attempts = 0
+    while made < total and attempts < 100 * total:
+        attempts += 1
         n = int(rng.integers(2, 4))
         us = sample_boundary(rng, 3, n)
         if (np.linalg.norm(us[0] - us[1]) < 1e-3 or np.linalg.norm(us[0] - us[2]) < 1e-3
@@ -649,7 +664,7 @@ def check_lemma_2_6_proximity(cfg: VerifyConfig) -> CheckResult:
         except Exception:
             continue
         made += 1
-    arr = np.asarray(rows)
+    arr = np.asarray(rows).reshape(-1, 2)
     min_env = np.inf
     for eps in eps_grid:
         sel = arr[:, 1] >= eps
@@ -658,8 +673,9 @@ def check_lemma_2_6_proximity(cfg: VerifyConfig) -> CheckResult:
         sel = arr[:, 0] >= eps
         if np.any(sel):
             min_env = min(min_env, float(arr[sel, 1].min()))
-    return CheckResult("lemma_2_6_proximity", "lemma_2_6", total, float(min_env),
-                       0.0, min_env > 0.0, el(), direction="measured>thr")
+    return CheckResult("lemma_2_6_proximity", "lemma_2_6", made, float(min_env),
+                       0.0, made == total and min_env > 0.0, el(), direction="measured>thr",
+                       detail={"attempts": attempts})
 
 
 def check_lemma_2_7_perpendicular(cfg: VerifyConfig) -> CheckResult:
@@ -669,8 +685,9 @@ def check_lemma_2_7_perpendicular(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 22)
     total = cfg.count(4_000, 50)
     worst = np.inf
-    made = 0
-    while made < total:
+    made = attempts = 0
+    while made < total and attempts < 100 * total:
+        attempts += 1
         n = int(rng.integers(2, 4))
         lam = float(rng.choice([1.0, 2.0]))
         k = CurvatureScale(lam)
@@ -687,8 +704,9 @@ def check_lemma_2_7_perpendicular(cfg: VerifyConfig) -> CheckResult:
         margin = np.sin(ang) - 1.0 / np.cosh(lam * hyp_dist(k, x, y))
         worst = min(worst, float(margin))
         made += 1
-    return CheckResult("lemma_2_7_perpendicular", "lemma_2_7", total, float(worst),
-                       -1e-9, worst >= -1e-9, el(), direction="measured>=thr")
+    return CheckResult("lemma_2_7_perpendicular", "lemma_2_7", made, float(worst),
+                       -1e-9, made == total and worst >= -1e-9, el(),
+                       direction="measured>=thr", detail={"attempts": attempts})
 
 
 def check_qs_envelope(cfg: VerifyConfig) -> CheckResult:
@@ -723,10 +741,6 @@ def check_qs_envelope(cfg: VerifyConfig) -> CheckResult:
 # extension checks
 # ---------------------------------------------------------------------------
 
-def _grid_points(rng, count, n, radius_h, lam):
-    return sample_ball_hyperbolic(rng, count, n, lam, radius_h)
-
-
 def check_extension_identity(cfg: VerifyConfig) -> CheckResult:
     el = _timer()
     rng = rng_from(cfg.seed + 30)
@@ -735,7 +749,7 @@ def check_extension_identity(cfg: VerifyConfig) -> CheckResult:
     for n in (2, 3):
         h = identity_map(n)
         ext = ExtensionConfig(p=_ref_ideal(n), m=256, refine_iters=32)
-        for coords in _grid_points(rng, per_dim, n, 5.0, 1.0):
+        for coords in sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0):
             x = BallPoint(coords)
             worst = max(worst, hyp_dist(K1, extend(h, ext, x), x))
     return CheckResult("extension_identity_law", "extension_construction",
@@ -752,7 +766,7 @@ def check_extension_isometry(cfg: VerifyConfig) -> CheckResult:
             MobiusIsometry.rotation(_random_rotation(rng, n)))
         h = mobius_boundary(iso)
         ext = ExtensionConfig(p=_ref_ideal(n), m=256, refine_iters=32)
-        for coords in _grid_points(rng, per_dim, n, 5.0, 1.0):
+        for coords in sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0):
             x = BallPoint(coords)
             worst = max(worst, hyp_dist(K1, extend(h, ext, x),
                                         BallPoint(iso.apply_interior_raw(coords))))
@@ -768,7 +782,7 @@ def check_visual_band_source(cfg: VerifyConfig) -> CheckResult:
     worst = 0.0
     for n in (2, 3):
         p = _ref_ideal(n)
-        for coords in _grid_points(rng, per_dim, n, 5.0, 1.0):
+        for coords in sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0):
             x = BallPoint(coords)
             qx = q_of(x, p).direction
             betas = extension._equator_raw(x, p, 64)
@@ -789,7 +803,7 @@ def check_image_band(cfg: VerifyConfig) -> CheckResult:
     for n in (2, 3):
         ext = ExtensionConfig(p=_ref_ideal(n), m=32, refine_iters=16)
         for h in _builtin_boundary_maps(n):
-            pts = _grid_points(rng, per_map, n, 4.0, 1.0)
+            pts = sample_ball_hyperbolic(rng, per_map, n, 1.0, 4.0)
             rep = boundary_bounds_check(h, ext, pts)
             lo = min(lo, rep.image_min)
             hi = max(hi, rep.image_max)
@@ -810,8 +824,8 @@ def check_span_bound(cfg: VerifyConfig) -> CheckResult:
     worst_rel = 0.0
     detail = {}
     ext = ExtensionConfig(p=_ref_ideal(2))
-    inner = _grid_points(rng, per_ball, 2, 4.0, 1.0)
-    shell = _grid_points(rng, per_ball, 2, 6.0, 1.0)
+    inner = sample_ball_hyperbolic(rng, per_ball, 2, 1.0, 4.0)
+    shell = sample_ball_hyperbolic(rng, per_ball, 2, 1.0, 6.0)
     for h in _builtin_boundary_maps(2):
         sup4 = 0.0
         for coords in inner:
@@ -858,8 +872,9 @@ def check_inverse_gap(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 37)
     trials = cfg.count(1_000, 12)
     ray_gap = np.inf
-    made = 0
-    while made < trials:
+    made = attempts = 0
+    while made < trials and attempts < 100 * trials:
+        attempts += 1
         q = sample_boundary(rng, 1, 2)[0]
         if np.linalg.norm(q - ext.p.direction) < 1e-3:
             continue
@@ -871,10 +886,10 @@ def check_inverse_gap(cfg: VerifyConfig) -> CheckResult:
         ray_gap = min(ray_gap, hyp_dist(K1, f1, f2))
         made += 1
     measured = float(min(min_delta, ray_gap))
-    return CheckResult("prop_5_1_gap", "prop_5_1", trials, measured, 0.0,
-                       measured > 0.0, el(), direction="measured>thr",
+    return CheckResult("prop_5_1_gap", "prop_5_1", made, measured, 0.0,
+                       made == trials and measured > 0.0, el(), direction="measured>thr",
                        detail={"min_sphere_gap": float(min_delta),
-                               "min_ray_gap": float(ray_gap)})
+                               "min_ray_gap": float(ray_gap), "attempts": attempts})
 
 
 def check_extension_injectivity(cfg: VerifyConfig) -> CheckResult:
@@ -885,7 +900,7 @@ def check_extension_injectivity(cfg: VerifyConfig) -> CheckResult:
     count = cfg.count(300, 10)
     h = angle_warp(0.2, 1, 2)
     ext = ExtensionConfig(p=_ref_ideal(2))
-    pts = _grid_points(rng, count, 2, 4.0, 1.0)
+    pts = sample_ball_hyperbolic(rng, count, 2, 1.0, 4.0)
     imgs = np.stack([extend(h, ext, BallPoint(c)).coords for c in pts])
     src = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     dst = np.linalg.norm(imgs[:, None, :] - imgs[None, :, :], axis=-1)
@@ -893,8 +908,9 @@ def check_extension_injectivity(cfg: VerifyConfig) -> CheckResult:
     min_img = float(np.min(np.where(ok_pairs, dst, np.inf)))
     trials = cfg.count(1_000, 12)
     violations = 0
-    made = 0
-    while made < trials:
+    made = attempts = 0
+    while made < trials and attempts < 100 * trials:
+        attempts += 1
         q = sample_boundary(rng, 1, 2)[0]
         if np.linalg.norm(q - ext.p.direction) < 1e-3:
             continue
@@ -909,11 +925,11 @@ def check_extension_injectivity(cfg: VerifyConfig) -> CheckResult:
         if not c2.t_max < c1.t_max:
             violations += 1
         made += 1
-    ok = min_img >= 1e-8 and violations == 0
+    ok = made == trials and min_img >= 1e-8 and violations == 0
     return CheckResult("extension_injectivity", "extension_construction",
-                       count + trials, min_img, 1e-8, ok, el(),
+                       count + made, min_img, 1e-8, ok, el(),
                        direction="measured>=thr",
-                       detail={"ray_order_violations": violations})
+                       detail={"ray_order_violations": violations, "attempts": attempts})
 
 
 def check_equivariance(cfg: VerifyConfig) -> CheckResult:
@@ -933,7 +949,7 @@ def check_equivariance(cfg: VerifyConfig) -> CheckResult:
             pre_cfg = ExtensionConfig(
                 p=IdealPoint(g1.inverse().apply_ideal_raw(ext.p.direction)),
                 m=96, refine_iters=24)
-            for coords in _grid_points(rng, per_map, n, 3.0, 1.0):
+            for coords in sample_ball_hyperbolic(rng, per_map, n, 1.0, 3.0):
                 x = BallPoint(coords)
                 lhs = extend(post, ext, x)
                 rhs = apply_mobius(g2, extend(h, ext, x))
@@ -962,7 +978,7 @@ def check_equator_planar_match(cfg: VerifyConfig) -> CheckResult:
     ]
     cfg2 = ExtensionConfig(p=_ref_ideal(2))
     cfg3 = ExtensionConfig(p=_ref_ideal(3), m=256, refine_iters=40)
-    pts = _grid_points(rng, count, 2, 4.0, 1.0)
+    pts = sample_ball_hyperbolic(rng, count, 2, 1.0, 4.0)
     for h2, h3 in pairs:
         for coords in pts:
             f2 = extend(h2, cfg2, BallPoint(coords))
@@ -982,14 +998,14 @@ def check_bounded_distance(cfg: VerifyConfig) -> CheckResult:
     count = cfg.count(400, 8)
     ext = ExtensionConfig(p=_ref_ideal(2))
     f_warp = polar_warp(0.2, 1, 2)
-    inner = _grid_points(rng, count, 2, 3.0, 1.0)
-    shell = _grid_points(rng, count, 2, 6.0, 1.0)
+    inner = sample_ball_hyperbolic(rng, count, 2, 1.0, 3.0)
+    shell = sample_ball_hyperbolic(rng, count, 2, 1.0, 6.0)
     sup3 = compare_to_interior(f_warp, ext, inner)
     sup6 = max(sup3, compare_to_interior(f_warp, ext, shell))
     rel = (sup6 - sup3) / sup6 if sup6 > 0 else 0.0
 
     iso = translation_along_first_axis(1.0, 2)
-    pts = _grid_points(rng, cfg.count(200, 8), 2, 4.0, 1.0)
+    pts = sample_ball_hyperbolic(rng, cfg.count(200, 8), 2, 1.0, 4.0)
     sup_iso = compare_to_interior(mobius_map(iso), ext, pts)
     f_jit = jittered_isometry(iso, 0.3)
     sup_jit = compare_to_interior(f_jit, ext, pts, h=mobius_boundary(iso))
@@ -1005,7 +1021,7 @@ def check_basepoint_sensitivity(cfg: VerifyConfig) -> CheckResult:
     el = _timer()
     rng = rng_from(cfg.seed + 42)
     count = cfg.count(100, 6)
-    pts = _grid_points(rng, count, 2, 3.0, 1.0)
+    pts = sample_ball_hyperbolic(rng, count, 2, 1.0, 3.0)
     p1 = _ref_ideal(2)
     p2 = IdealPoint([0.0, 1.0])
     s_id = extension.basepoint_sensitivity(identity_map(2), p1, p2, pts)

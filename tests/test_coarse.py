@@ -9,6 +9,7 @@ from hypext.coarse import (
     Triangle,
     _foot_params_raw,
     _prepare_side_data,
+    _side_gaps,
     area_defect,
     comparison_report,
     hausdorff_distance,
@@ -125,12 +126,16 @@ class TestThinness:
         for lam in (1.0, 2.0):
             for n in (2, 3):
                 coords, flags = _random_triangles(gen, 24, n, lam)
-                vals = thinness_batch(coords, flags, CurvatureScale(lam))
                 dist, spacing = _dense_side_distances(coords, flags, lam)
-                ref = dist.min(axis=-1).max(axis=(1, 2))
-                assert np.all(vals >= ref - 1e-12)
-                # the gap is 1-Lipschitz, so the sup is within half a spacing
-                assert np.all(vals <= ref + 0.5 * spacing + 1e-12)
+                side_ref = dist.min(axis=-1).max(axis=2)
+                gaps = _side_gaps(*_prepare_side_data(coords, flags, lam, R_TRUNC), lam)
+                vals = thinness_batch(coords, flags, CurvatureScale(lam))
+                # per side, and the triangle's max over its sides; the gap is
+                # 1-Lipschitz, so the sup is within half a spacing
+                for got, ref, step in ((gaps, side_ref, spacing),
+                                       (vals, side_ref.max(axis=1), spacing.max(axis=1))):
+                    assert np.all(got >= ref - 1e-12)
+                    assert np.all(got <= ref + 0.5 * step + 1e-12)
 
     def test_moved_ideal_triangles_attain_classical_constant(self):
         gen = np.random.default_rng(22)
@@ -158,21 +163,28 @@ class TestThinness:
         assert val == pytest.approx(gaps.max(), abs=1e-12)
 
 
-# Dense reference for thinness: distances from DENSE points of each side
-# window to the other two windows, by model._dist_raw to the perpendicular
-# foot clamped into the window.
+# Dense reference for thinness and quasicenters: DENSE points of each side
+# window, and distances from them to the other two windows by
+# model._dist_raw to the perpendicular foot clamped into the window.
 DENSE = 16384
+
+
+def _dense_side_points(m, r0, lo, hi, lam):
+    """(B, 3, DENSE, n) evenly spaced points of each side window, and the
+    sample spacing of each side (B, 3)."""
+    ts = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, DENSE)
+    pts = _mobius_add(m[:, :, None], np.tanh(0.5 * lam * ts)[..., None] * r0[:, :, None])
+    return pts, (hi - lo) / (DENSE - 1)
 
 
 def _dense_side_distances(coords, flags, lam, r_trunc=R_TRUNC):
     """(B, 3, DENSE, 2) distances from the points of each side window to the
-    windows of the other two sides, and the largest sample spacing (B,)."""
+    windows of the other two sides, and the sample spacing of each side (B, 3)."""
     m, r0, lo, hi = _prepare_side_data(coords, flags, lam, r_trunc)
-    ts = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, DENSE)
-    out = np.empty(ts.shape + (2,))
+    side_pts, spacing = _dense_side_points(m, r0, lo, hi, lam)
+    out = np.empty(side_pts.shape[:-1] + (2,))
     for i in range(3):
-        pts = _mobius_add(m[:, i, None], np.tanh(0.5 * lam * ts[:, i])[..., None]
-                          * r0[:, i, None])
+        pts = side_pts[:, i]
         for slot, j in enumerate(o for o in range(3) if o != i):
             w = _mobius_add(-m[:, j, None], pts)
             z1 = np.sum(w * r0[:, j, None], axis=-1)
@@ -182,7 +194,7 @@ def _dense_side_distances(coords, flags, lam, r_trunc=R_TRUNC):
             near = _mobius_add(m[:, j, None], np.tanh(0.5 * lam * foot)[..., None]
                                * r0[:, j, None])
             out[:, i, :, slot] = _dist_raw(lam, pts, near)
-    return out, np.max(hi - lo, axis=1) / (DENSE - 1)
+    return out, spacing
 
 
 class TestQuasicenter:
@@ -203,6 +215,26 @@ class TestQuasicenter:
         tri = Triangle(BallPoint([-0.5, 0.0]), BallPoint([0.5, 0.0]), BallPoint([0.2, 0.0]))
         _, c = quasicenter(tri)
         assert c < 1e-6
+
+    def test_mixed_triangles_value_matches_dense_sides(self):
+        # value = max over sides of the distance to the side's truncated
+        # window; the dense sampling reads each distance high by at most
+        # half a spacing, since distance is 1-Lipschitz along the side
+        gen = np.random.default_rng(23)
+        for lam in (1.0, 2.0):
+            k = CurvatureScale(lam)
+            for n in (2, 3):
+                coords, flags = _random_triangles(gen, 6, n, lam, ideal_prob=0.4, radius=3.0)
+                flags[:, 0] = True
+                coords[:, 0] /= np.linalg.norm(coords[:, 0], axis=-1, keepdims=True)
+                side_pts, spacing = _dense_side_points(
+                    *_prepare_side_data(coords, flags, lam, R_TRUNC), lam)
+                for b in range(coords.shape[0]):
+                    verts = [IdealPoint(c) if f else BallPoint(c)
+                             for c, f in zip(coords[b], flags[b])]
+                    w, val = quasicenter(Triangle(*verts), k, seed=1)
+                    ref = _dist_raw(lam, w.coords, side_pts[b]).min(axis=1).max()
+                    assert ref - 0.5 * spacing[b].max() - 1e-12 <= val <= ref + 1e-12
 
     def test_seed_independence(self):
         tri = Triangle(BallPoint([0.5, 0.2]), ideal(150), BallPoint([-0.1, -0.55]))
