@@ -62,7 +62,6 @@ from .model import (
     hyp_dist,
     log_map,
     normalize_to_diameter,
-    point_at,
     ray_limit,
     right_triangle_residual,
 )

@@ -1,10 +1,13 @@
 """Coarse measurements: thin triangles, quasicenters, Hausdorff distance,
 quasigeodesic deviation, comparison triangles, projections onto geodesics.
 
+A geodesic is its anchor m (the point nearest the origin) and its unit
+direction d there; w = m (-) x moves a point into the frame where the
+geodesic is the diameter along d.  There the perpendicular foot has a closed
+form in the axial component w.d and the distance of w from that line.
 Triangles become sides in one place, ``_prepare_side_data``: parameter
-windows, with ideal vertices truncated alike, on geodesics normalized to the
-(-e1, e1) diameter.  There the perpendicular foot has a closed form, distance
-to a side is exact (clamp the foot parameter to the window), and everything
+windows, with ideal vertices truncated alike, on such frames.  Distance to a
+side is exact (clamp the foot parameter to the window), and everything
 vectorizes over rows.  Thinness and quasicenters measure the same windows.
 Thinness is exact: along a side the gap to the other two sides peaks where
 their distances cross, and a lockstep bisection finds that crossing.
@@ -23,16 +26,19 @@ from .model import (
     CurvatureScale,
     Geodesic,
     K1,
+    _arc_frames_raw,
     _clamp_interior,
     _dist_raw,
+    _geodesic_param_raw,
+    _geodesic_point_raw,
     _mobius_add,
+    _translate_ideal,
     angle,
     closure_coords,
     closure_eq,
     geodesic_between,
     hyp_dist,
     is_ideal,
-    rotation_taking,
 )
 
 # Ideal vertices are cut off at this hyperbolic radius from the triangle's
@@ -47,70 +53,27 @@ def _normalize_rows(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _foot_params_raw(z, lam):
-    """Foot parameter on the (-e1, e1) diameter for frame points z.
+def _foot_tanh(w, d):
+    """Perpendicular foot of frame points w on the diameter along d.
 
-    The discriminant (1+|z|^2)^2 - 4 z1^2 is factored so points near the
+    Returns tanh(lam t / 2) for the foot parameter t, the axial component
+    z1 = w.d, the squared distance rho2 of w from the diameter and |w|^2.
+    The discriminant (1+|w|^2)^2 - 4 z1^2 is factored so points near the
     axis and near the sphere do not cancel catastrophically.
     """
-    z = np.asarray(z, dtype=float)
-    z1 = z[..., 0]
-    rho2 = np.sum(z[..., 1:] ** 2, axis=-1)
+    z1 = np.sum(w * d, axis=-1)
+    perp = w - z1[..., None] * d
+    rho2 = np.sum(perp * perp, axis=-1)
+    nw2 = np.sum(w * w, axis=-1)
     disc = ((1.0 - z1) ** 2 + rho2) * ((1.0 + z1) ** 2 + rho2)
-    s = 2.0 * z1 / ((1.0 + z1 * z1 + rho2) + np.sqrt(disc))
-    s = np.clip(s, -1.0 + INTERIOR_EPS, 1.0 - INTERIOR_EPS)
+    return 2.0 * z1 / ((1.0 + nw2) + np.sqrt(disc)), z1, rho2, nw2
+
+
+def _foot_params_raw(w, d, lam):
+    """Foot parameter on the geodesic (m, d) of frame points w = m (-) x,
+    valid for |w| <= 1; callers reject ideal points at an axis end."""
+    s = np.clip(_foot_tanh(w, d)[0], -1.0 + INTERIOR_EPS, 1.0 - INTERIOR_EPS)
     return 2.0 * np.arctanh(s) / lam
-
-
-def _axis_points_raw(t, lam, n):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape + (n,))
-    out[..., 0] = np.tanh(0.5 * lam * t)
-    return out
-
-
-def _side_points(m, r0, t, lam):
-    """Points at arc-length parameters t on geodesics given by their frame
-    anchor m and the first row r0 of their frame rotation; broadcasts."""
-    return _clamp_interior(_mobius_add(m, np.tanh(0.5 * lam * t)[..., None] * r0))
-
-
-# ---------------------------------------------------------------------------
-# diameter frames
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _DiameterFrame:
-    """Coordinates in which a geodesic is the (-e1, e1) diameter."""
-
-    m: np.ndarray            # anchor of the geodesic (translated to origin)
-    rot: np.ndarray          # rotation taking the anchor direction to e1
-    lam: float
-
-    @classmethod
-    def of(cls, g: Geodesic):
-        n = g.n
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        return cls(m=g.anchor.coords.copy(),
-                   rot=rotation_taking(g.unit_direction_at_anchor, e1),
-                   lam=g.lam)
-
-    def to_frame(self, pts):
-        return _mobius_add(-self.m, np.asarray(pts, dtype=float)) @ self.rot.T
-
-    def to_frame_ideal(self, us):
-        z = _mobius_add(-self.m, np.asarray(us, dtype=float))
-        z = z / np.linalg.norm(z, axis=-1, keepdims=True)
-        return z @ self.rot.T
-
-    def foot_params(self, z):
-        """Arc-length parameter of the perpendicular foot on the diameter.
-
-        Valid for frame points with |z| <= 1; ideal points that coincide with
-        a diameter endpoint are rejected by callers beforehand.
-        """
-        return _foot_params_raw(z, self.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +82,14 @@ class _DiameterFrame:
 
 def orthogonal_project(q: ClosurePoint, g: Geodesic) -> BallPoint:
     """Perpendicular foot of q on g; q itself when q already lies on g."""
-    frame = _DiameterFrame.of(g)
+    m, d = g.anchor.coords, g.unit_direction_at_anchor
     if is_ideal(q):
-        z = frame.to_frame_ideal(q.direction)
-        if abs(z[0]) > 1.0 - 1e-12:
+        w = _translate_ideal(-m, q.direction)
+        if abs(w @ d) > 1.0 - 1e-12:
             raise GeometryError("projection undefined for an ideal endpoint of the geodesic")
     else:
-        z = frame.to_frame(q.coords)
-    return BallPoint(_side_points(frame.m, frame.rot[0], frame.foot_params(z), frame.lam))
+        w = _mobius_add(-m, q.coords)
+    return BallPoint(_geodesic_point_raw(m, d, _foot_params_raw(w, d, g.lam), g.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -205,69 +168,6 @@ def _batch_side_endpoints(xa, ideal_a, xb, ideal_b):
     return u, v
 
 
-def _batch_rotation_to_e1(d):
-    """Row-wise minimal rotations R with R d = e1."""
-    count, n = d.shape
-    c = d[:, 0]
-    rot = np.zeros((count, n, n))
-    near_id = c >= 1.0 - 1e-15
-    near_half = c <= -1.0 + 1e-15
-    rot[near_id] = np.eye(n)
-    if np.any(near_half):
-        if n == 2:
-            rot[near_half] = -np.eye(2)
-        else:
-            flip = -np.eye(3)
-            flip[1, 1] = 1.0
-            rot[near_half] = flip
-    gen = ~(near_id | near_half)
-    if np.any(gen):
-        u = d[gen]
-        cg = c[gen]
-        w = -cg[:, None] * u
-        w[:, 0] += 1.0
-        sg = np.linalg.norm(w, axis=-1)
-        w = w / sg[:, None]
-        uu = u[:, :, None] * u[:, None, :]
-        ww = w[:, :, None] * w[:, None, :]
-        wu = w[:, :, None] * u[:, None, :]
-        uw = u[:, :, None] * w[:, None, :]
-        rot[gen] = np.eye(n) + (cg - 1.0)[:, None, None] * (uu + ww) + sg[:, None, None] * (wu - uw)
-    return rot
-
-
-def _batch_frames(u, v):
-    """Row-wise anchor, direction and rotation-to-e1 for arcs from u to v."""
-    s = np.sum(u * v, axis=-1)
-    chord = u + v
-    cn = np.linalg.norm(chord, axis=-1)
-    m = np.zeros_like(u)
-    d = np.empty_like(u)
-    diam = cn < 1e-12
-    d[diam] = v[diam]
-    gen = ~diam
-    if np.any(gen):
-        c = chord[gen] / (1.0 + s[gen])[:, None]
-        nc = np.linalg.norm(c, axis=-1)
-        chat = c / nc[:, None]
-        m[gen] = chat / (nc + np.sqrt(np.maximum(nc * nc - 1.0, 0.0)))[:, None]
-        w = v[gen] - u[gen]
-        w = w - np.sum(w * chat, axis=-1)[:, None] * chat
-        d[gen] = _normalize_rows(w)
-    return m, d, _batch_rotation_to_e1(d)
-
-
-def _batch_to_frame(m, rot, pts):
-    """pts (..., count, S, n) into the frame (m, rot) per row."""
-    w = _mobius_add(-m[:, None, :], pts)
-    return np.einsum("bij,bsj->bsi", rot, w)
-
-
-def _batch_axis_param(z, lam):
-    r = np.minimum(np.linalg.norm(z, axis=-1), 1.0 - INTERIOR_EPS)
-    return 2.0 * np.arctanh(r) * np.sign(z[..., 0]) / lam
-
-
 # Coordinates are only representable out to hyperbolic radius ~23/lam from
 # the origin (tanh saturates).  The truncation ball is shrunk so every window
 # end stays representable; the same ball cuts all three sides, which keeps
@@ -279,16 +179,16 @@ _SAFE_REACH = 23.0
 def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
     """Stacked per-side frames and windows for a batch of triangles.
 
-    Returns (m, r0, lo, hi) with shapes (B, 3, n) / (B, 3, n) / (B, 3) / (B, 3)
-    where r0 is the first row of the frame rotation (all the evaluator needs).
+    Returns (m, d, lo, hi) with shapes (B, 3, n) / (B, 3, n) / (B, 3) / (B, 3):
+    each side's anchor, unit direction and parameter window.
     """
-    count, _, n = coords.shape
+    count = coords.shape[0]
     pairs = ((0, 1), (1, 2), (2, 0))
     frames = []
     for i, j in pairs:
         u, v = _batch_side_endpoints(coords[:, i], ideal_flags[:, i],
                                      coords[:, j], ideal_flags[:, j])
-        frames.append(_batch_frames(u, v))
+        frames.append(_arc_frames_raw(u, v))
 
     # base point: the smallest-norm candidate among interior vertices and
     # the three side anchors keeps the truncation ball representable even
@@ -302,42 +202,35 @@ def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
     r_eff = np.minimum(r_trunc, np.maximum(_SAFE_REACH / lam - d0_base, 1.0))
 
     sides = []
-    for (i, j), (m, _, rot) in zip(pairs, frames):
-        zb = _batch_to_frame(m, rot, base[:, None, :])[:, 0, :]
-        t_foot = _foot_params_raw(zb, lam)
-        d_perp = _dist_raw(lam, zb, _axis_points_raw(t_foot, lam, n))
+    for (i, j), (m, d) in zip(pairs, frames):
+        t_foot = _foot_params_raw(_mobius_add(-m, base), d, lam)
+        d_perp = _window_dist(base, m, d, -1.0, 1.0, lam)
         ratio = np.cosh(lam * r_eff) / np.cosh(lam * d_perp)
         cut = np.arccosh(np.maximum(ratio, 1.0)) / lam
-        za = _batch_to_frame(m, rot, coords[:, None, i, :])[:, 0, :]
-        zb2 = _batch_to_frame(m, rot, coords[:, None, j, :])[:, 0, :]
-        lo = np.where(ideal_flags[:, i], t_foot - cut, _batch_axis_param(za, lam))
-        hi = np.where(ideal_flags[:, j], t_foot + cut, _batch_axis_param(zb2, lam))
-        sides.append((m, rot[:, 0, :], np.minimum(lo, hi), np.maximum(lo, hi)))
+        lo = np.where(ideal_flags[:, i], t_foot - cut,
+                      _geodesic_param_raw(m, d, coords[:, i], lam))
+        hi = np.where(ideal_flags[:, j], t_foot + cut,
+                      _geodesic_param_raw(m, d, coords[:, j], lam))
+        sides.append((m, d, np.minimum(lo, hi), np.maximum(lo, hi)))
     return tuple(np.stack(a, axis=1) for a in zip(*sides))
 
 
-def _window_dist(pts, m, r0, s_lo, s_hi, lam):
+def _window_dist(pts, m, d, s_lo, s_hi, lam):
     """Distance from ball points to side windows, row by row.
 
-    Each side is given by its frame anchor m, the first row r0 of its frame
-    rotation and its window [s_lo, s_hi] in tanh space; all arguments
-    broadcast over leading axes.  The perpendicular foot has a closed form on
-    the frame diameter, and clipping it to the window gives the nearest point
-    of the side segment.
+    Each side is given by its anchor m, its unit direction d and its window
+    [s_lo, s_hi] in tanh space; all arguments broadcast over leading axes.
+    The perpendicular foot has a closed form on the frame diameter, and
+    clipping it to the window gives the nearest point of the side segment.
     """
-    w = _mobius_add(-m, pts)
-    nw2 = np.sum(w * w, axis=-1)
-    z1 = np.sum(w * r0, axis=-1)
-    perp = w - z1[..., None] * r0
-    rho2 = np.sum(perp * perp, axis=-1)
-    disc = ((1.0 - z1) ** 2 + rho2) * ((1.0 + z1) ** 2 + rho2)
-    s = np.clip(2.0 * z1 / ((1.0 + nw2) + np.sqrt(disc)), s_lo, s_hi)
+    s, z1, rho2, nw2 = _foot_tanh(_mobius_add(-m, pts), d)
+    s = np.clip(s, s_lo, s_hi)
     d2 = (z1 - s) ** 2 + rho2
     conf = np.maximum((1.0 - nw2) * (1.0 - s * s), 1e-300)
     return 2.0 * np.arcsinh(np.sqrt(d2 / conf)) / lam
 
 
-def _side_gaps(m_all, r0_all, lo_all, hi_all, lam):
+def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
     """(B, 3) sup over each side of its distance to the nearer other side.
 
     Takes the side data of _prepare_side_data.  Along a side, the distances
@@ -353,15 +246,15 @@ def _side_gaps(m_all, r0_all, lo_all, hi_all, lam):
     # row (b, i) is side i of triangle b; its neighbours are the other two
     others = np.array([[1, 2], [2, 0], [0, 1]])
     m = m_all.reshape(-1, n)
-    r0 = r0_all.reshape(-1, n)
+    dirs = d_all.reshape(-1, n)
     nbr_m = m_all[:, others].reshape(-1, 2, n)
-    nbr_r0 = r0_all[:, others].reshape(-1, 2, n)
+    nbr_d = d_all[:, others].reshape(-1, 2, n)
     nbr_s_lo = np.tanh(0.5 * lam * lo_all)[:, others].reshape(-1, 2)
     nbr_s_hi = np.tanh(0.5 * lam * hi_all)[:, others].reshape(-1, 2)
 
     def dists(t):
-        pts = _side_points(m, r0, t, lam)
-        return _window_dist(pts[:, None, :], nbr_m, nbr_r0, nbr_s_lo, nbr_s_hi, lam)
+        pts = _geodesic_point_raw(m, dirs, t, lam)
+        return _window_dist(pts[:, None, :], nbr_m, nbr_d, nbr_s_lo, nbr_s_hi, lam)
 
     lo = lo_all.reshape(-1)
     hi = hi_all.reshape(-1)
@@ -401,16 +294,16 @@ def quasicenter(t: Triangle, k: CurvatureScale = K1, *, seed=None,
     """
     coords, flags = _triangle_arrays(t)
     lam = k.lam
-    m, r0, lo, hi = (a[0] for a in _prepare_side_data(coords, flags, lam, R_TRUNC))
+    m, d, lo, hi = (a[0] for a in _prepare_side_data(coords, flags, lam, R_TRUNC))
     s_lo, s_hi = np.tanh(0.5 * lam * lo), np.tanh(0.5 * lam * hi)
     n = m.shape[1]
 
     def objective(w):
         if np.linalg.norm(w) >= 1.0 - INTERIOR_EPS:
             return 1e6 + np.linalg.norm(w)
-        return float(_window_dist(w, m, r0, s_lo, s_hi, lam).max())
+        return float(_window_dist(w, m, d, s_lo, s_hi, lam).max())
 
-    mids = _side_points(m, r0, 0.5 * (lo + hi), lam)
+    mids = _geodesic_point_raw(m, d, 0.5 * (lo + hi), lam)
     start = _clamp_interior(mids.mean(axis=0) * 0.999)
     spread = 0.05
     simplex = np.vstack([start, start + spread * np.eye(n)])
@@ -476,13 +369,18 @@ def quasigeodesic_deviation(path, a: ClosurePoint, b: ClosurePoint,
     if pts.shape[0] < 2:
         raise GeometryError("a path needs at least two points")
     g = geodesic_between(a, b, k)
-    frame = _DiameterFrame.of(g)
-    lo = g.param_of(a) if not is_ideal(a) else float(frame.foot_params(frame.to_frame(pts[0]))[()])
-    hi = g.param_of(b) if not is_ideal(b) else float(frame.foot_params(frame.to_frame(pts[-1]))[()])
+    m, d = g.anchor.coords, g.unit_direction_at_anchor
+
+    def end_param(end, row):
+        if not is_ideal(end):
+            return g.param_of(end)
+        return float(_foot_params_raw(_mobius_add(-m, row), d, g.lam))
+
+    lo, hi = end_param(a, pts[0]), end_param(b, pts[-1])
     if lo > hi:
         lo, hi = hi, lo
     count = geodesic_samples or max(256, 4 * pts.shape[0])
-    geo = _side_points(frame.m, frame.rot[0], np.linspace(lo, hi, count), frame.lam)
+    geo = _geodesic_point_raw(m, d, np.linspace(lo, hi, count), g.lam)
     return hausdorff_distance(k, pts, geo)
 
 

@@ -10,26 +10,30 @@ perpendicular feet of h(E_x):
 
 with c running from h(q_x) toward h(p).  In dimension 2 the equator has
 exactly two points and the sup is exact; in dimension 3 it is a sampled
-circle with golden-section refinement around the extreme samples.
+circle with golden-section refinement around every local extreme of the
+samples.  One core, ``_extend_batch``, works on (B, n) rows of points; the
+scalar functions wrap it at batch size 1.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .coarse import _DiameterFrame
+from .coarse import _foot_params_raw
 from .errors import GeometryError
 from .maps import BoundaryMap, InteriorMap
 from .model import (
     BallPoint,
     CurvatureScale,
-    Geodesic,
     IdealPoint,
     K1,
+    _arc_frames_raw,
+    _check_in_ball,
+    _dist_raw,
+    _geodesic_point_raw,
     _mobius_add,
     _translate_ideal,
-    geodesic_between,
-    hyp_dist,
 )
 from .sampling import rng_from, sample_ball_hyperbolic, sample_boundary
 
@@ -62,46 +66,59 @@ class ProjectionSpan:
 
     t_min: float
     t_max: float
-    argmax_index: int
 
     @property
     def length(self) -> float:
         return self.t_max - self.t_min
 
 
+def _q_axis(xs, p):
+    """Unit direction at each row x of the ray toward q_x, away from p."""
+    toward_p = _mobius_add(-xs, p)
+    return -toward_p / np.linalg.norm(toward_p, axis=-1, keepdims=True)
+
+
+def _q_raw(xs, p):
+    """Far endpoints q_x of the geodesics through p and each row x."""
+    return _translate_ideal(xs, _q_axis(xs, p))
+
+
+def _equator_basis(axis):
+    """(B, n - 1, n) orthonormal bases of the complements of unit rows."""
+    if axis.shape[-1] == 2:
+        return np.stack([-axis[:, 1], axis[:, 0]], axis=-1)[:, None, :]
+    b1 = np.zeros_like(axis)
+    b1[np.arange(axis.shape[0]), np.argmin(np.abs(axis), axis=-1)] = 1.0
+    b1 = b1 - np.sum(b1 * axis, axis=-1, keepdims=True) * axis
+    b1 = b1 / np.linalg.norm(b1, axis=-1, keepdims=True)
+    return np.stack([b1, np.cross(axis, b1)], axis=1)
+
+
+def _circle(basis, theta):
+    """cos(theta) b1 + sin(theta) b2 for (B, 2, 3) bases; theta broadcasts
+    against (B, k) and the result is (B, k, 3)."""
+    return (np.cos(theta)[..., None] * basis[:, None, 0]
+            + np.sin(theta)[..., None] * basis[:, None, 1])
+
+
+def _equator_dirs(basis, m):
+    """(B, k, n) unit directions of the equator at the origin: the two
+    points of each basis line in dimension 2, m equally spaced in dimension 3."""
+    if basis.shape[-1] == 2:
+        return np.stack([basis[:, 0], -basis[:, 0]], axis=1)
+    return _circle(basis, 2.0 * np.pi * np.arange(m) / m)
+
+
+def _equator_raw(xs, p, m):
+    """(B, k, n) ideal endpoints of the rays from each row x perpendicular
+    to the geodesic p q_x."""
+    basis = _equator_basis(_q_axis(xs, p))
+    return _translate_ideal(xs[:, None, :], _equator_dirs(basis, m))
+
+
 def q_of(x: BallPoint, p: IdealPoint) -> IdealPoint:
     """Second ideal endpoint of the geodesic through p and x."""
-    toward_p = _mobius_add(-x.coords, p.direction)
-    toward_p = toward_p / np.linalg.norm(toward_p)
-    return IdealPoint(_translate_ideal(x.coords, -toward_p))
-
-
-def _equator_frame(x: BallPoint, p: IdealPoint):
-    """Unit axis toward q_x at x plus an orthonormal basis of its complement."""
-    n = x.n
-    toward_p = _mobius_add(-x.coords, p.direction)
-    toward_p = toward_p / np.linalg.norm(toward_p)
-    axis = -toward_p
-    if n == 2:
-        b1 = np.array([-axis[1], axis[0]])
-        return axis, (b1,)
-    pick = int(np.argmin(np.abs(axis)))
-    b1 = np.zeros(3)
-    b1[pick] = 1.0
-    b1 = b1 - np.dot(b1, axis) * axis
-    b1 = b1 / np.linalg.norm(b1)
-    b2 = np.cross(axis, b1)
-    return axis, (b1, b2)
-
-
-def _equator_raw(x: BallPoint, p: IdealPoint, m: int) -> np.ndarray:
-    axis, basis = _equator_frame(x, p)
-    if x.n == 2:
-        dirs = np.stack([basis[0], -basis[0]])
-    else:
-        theta = 2.0 * np.pi * np.arange(m) / m
-        dirs = np.cos(theta)[:, None] * basis[0] + np.sin(theta)[:, None] * basis[1]
-    return _translate_ideal(x.coords, dirs)
+    return IdealPoint(_q_raw(x.coords[None, :], p.direction)[0])
 
 
 def equator(x: BallPoint, p: IdealPoint, m: int = 64):
@@ -110,119 +127,115 @@ def equator(x: BallPoint, p: IdealPoint, m: int = 64):
     Exactly two points in dimension 2; m equally spaced samples of the
     boundary circle in dimension 3.
     """
-    return [IdealPoint(row) for row in _equator_raw(x, p, m)]
+    return [IdealPoint(row) for row in _equator_raw(x.coords[None, :], p.direction, m)[0]]
 
 
-def _ideal_foot_params(frame: _DiameterFrame, us):
-    """Foot parameters of ideal rows on the frame's diameter; rows too close
-    to an axis endpoint are returned as nan."""
-    z = frame.to_frame_ideal(us)
-    z1 = np.clip(z[..., 0], -1.0, 1.0)
-    bad = np.abs(z1) > 1.0 - _ENDPOINT_GUARD
-    s = z1 / (1.0 + np.sqrt(np.maximum(1.0 - z1 * z1, 0.0)))
-    t = 2.0 * np.arctanh(np.clip(s, -1.0, 1.0)) / frame.lam
-    return np.where(bad, np.nan, t)
+def _ideal_feet(us, m, d, lam):
+    """Foot parameters of ideal rows us on the geodesics (m, d); rows too
+    close to an axis endpoint are returned as nan."""
+    w = _translate_ideal(-m, us)
+    bad = np.abs(np.sum(w * d, axis=-1)) > 1.0 - _ENDPOINT_GUARD
+    return np.where(bad, np.nan, _foot_params_raw(w, d, lam))
 
 
-def _golden_extreme(fn, lo, hi, iters, want_max):
-    """Golden-section search for a scalar extreme of fn on [lo, hi]."""
-    sign = 1.0 if want_max else -1.0
+def _golden_max(f, lo, hi, iters):
+    """Lockstep golden-section search for the max of f on each bracket
+    [lo_i, hi_i]; f(x) evaluates bracket i at abscissa x_i for every i.
+    Returns the largest value evaluated in each bracket."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = sign * fn(c)
-    fd = sign * fn(d)
+    fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * fn(d)
-    return sign * max(fc, fd)
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_new = f(new)
+        c, d = np.where(left, new, kept), np.where(left, kept, new)
+        fc, fd = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
+    return np.maximum(fc, fd)
 
 
-@dataclass
-class _ExtensionCore:
-    axis: Geodesic
-    t_min: float
-    t_max: float
-    argmax_index: int
+class _Batch(NamedTuple):
+    image: np.ndarray    # (B, n): F(x) = c(t_max)
+    t_min: np.ndarray    # (B,): lowest foot parameter of h(E_x)
+    t_max: np.ndarray    # (B,): highest foot parameter of h(E_x)
 
 
-def _extend_core(h: BoundaryMap, cfg: ExtensionConfig, x: BallPoint,
-                 *, refine_min: bool = False) -> _ExtensionCore:
-    qx = q_of(x, cfg.p)
-    p_img = h(cfg.p).direction
-    q_img = h(qx).direction
-    if np.linalg.norm(p_img - q_img) < _ENDPOINT_GUARD:
+def _extend_batch(h: BoundaryMap, cfg: ExtensionConfig, points) -> _Batch:
+    """F and the extent of the projected equator image for (B, n) points.
+
+    One h.apply_raw call maps every equator sample, q_x and p.  In dimension
+    3 a lockstep golden-section search then refines both ends of every span
+    within one sample step of each cyclic local extreme of the samples (and
+    of each row's best sample), one apply_raw call per step, so the lower of
+    two near-equal maxima cannot hide the higher one.
+    """
+    n = cfg.p.n
+    xs = _check_in_ball(np.asarray(points, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise GeometryError(f"points must be rows of length {n}, got shape {xs.shape}")
+    count = xs.shape[0]
+    p = cfg.p.direction
+    lam = cfg.k.lam
+    axis = _q_axis(xs, p)
+    basis = _equator_basis(axis)
+    eq = _translate_ideal(xs[:, None, :], _equator_dirs(basis, cfg.m))
+    size = eq.shape[1]
+    imgs = h.apply_raw(np.concatenate([eq.reshape(-1, n), _translate_ideal(xs, axis),
+                                       p[None, :]]))
+    q_img, p_img = imgs[count * size:-1], imgs[-1]
+    if np.any(np.linalg.norm(p_img - q_img, axis=-1) < _ENDPOINT_GUARD):
         raise GeometryError("boundary images of p and q_x collide")
-    axis = geodesic_between(IdealPoint(q_img), IdealPoint(p_img), cfg.k)
-    frame = _DiameterFrame.of(axis)
-    equator_pts = _equator_raw(x, cfg.p, cfg.m)
-    images = h.apply_raw(equator_pts)
-    feet = _ideal_foot_params(frame, images)
-    keep = ~np.isnan(feet)
-    if not np.any(keep):
+    m, d = _arc_frames_raw(q_img, p_img)
+    feet = _ideal_feet(imgs[:count * size].reshape(count, size, n), m[:, None], d[:, None], lam)
+    if np.any(np.all(np.isnan(feet), axis=1)):
         raise GeometryError("every equator image collided with an axis endpoint")
-    kept = np.where(keep, feet, -np.inf)
-    arg_hi = int(np.argmax(kept))
-    t_hi = float(feet[arg_hi])
-    arg_lo = int(np.argmin(np.where(keep, feet, np.inf)))
-    t_lo = float(feet[arg_lo])
+    t_min = np.nanmin(feet, axis=1)
+    t_max = np.nanmax(feet, axis=1)
 
-    if x.n == 3 and cfg.refine_iters > 0:
-        axis_dir, basis = _equator_frame(x, cfg.p)
+    if n == 3 and cfg.refine_iters > 0:
+        # rows [0, count) seek maxima of the feet, rows [count, 2 count)
+        # maxima of the negated feet; one search bracket per cyclic peak
+        signed = np.concatenate([feet, -feet])
+        signed[np.isnan(signed)] = -np.inf
+        peak = (signed > np.roll(signed, 1, axis=1)) & (signed >= np.roll(signed, -1, axis=1))
+        peak[np.arange(2 * count), np.argmax(signed, axis=1)] = True
+        row, j = np.nonzero(peak)
+        src = row % count
+        sign = np.where(row < count, 1.0, -1.0)
+        theta = 2.0 * np.pi * j / cfg.m
         step = 2.0 * np.pi / cfg.m
 
-        def foot_of_angle(theta):
-            d = np.cos(theta) * basis[0] + np.sin(theta) * basis[1]
-            u = _translate_ideal(x.coords, d[None, :])
-            val = _ideal_foot_params(frame, h.apply_raw(u))[0]
-            return float(val) if np.isfinite(val) else -np.inf
+        def signed_foot(th):
+            u = _translate_ideal(xs[src], _circle(basis[src], th[:, None])[:, 0])
+            t = _ideal_feet(h.apply_raw(u), m[src], d[src], lam)
+            return np.where(np.isnan(t), -np.inf, sign * t)
 
-        theta_hi = 2.0 * np.pi * arg_hi / cfg.m
-        t_hi = max(t_hi, _golden_extreme(foot_of_angle, theta_hi - step,
-                                         theta_hi + step, cfg.refine_iters, True))
-        if refine_min:
-            def foot_lo(theta):
-                val = foot_of_angle(theta)
-                return val if np.isfinite(val) else np.inf
-
-            theta_lo = 2.0 * np.pi * arg_lo / cfg.m
-            t_lo = min(t_lo, _golden_extreme(foot_lo, theta_lo - step,
-                                             theta_lo + step, cfg.refine_iters, False))
-    return _ExtensionCore(axis=axis, t_min=t_lo, t_max=t_hi, argmax_index=arg_hi)
+        best = _golden_max(signed_foot, theta - step, theta + step, cfg.refine_iters)
+        up = row < count
+        np.maximum.at(t_max, src[up], best[up])
+        np.minimum.at(t_min, src[~up], -best[~up])
+    return _Batch(_geodesic_point_raw(m, d, t_max, lam), t_min, t_max)
 
 
 def extend(h: BoundaryMap, cfg: ExtensionConfig, x: BallPoint) -> BallPoint:
     """The extension of h at x (see module docstring)."""
-    core = _extend_core(h, cfg, x)
-    return core.axis.point_at(core.t_max)
+    return BallPoint(_extend_batch(h, cfg, x.coords[None, :]).image[0])
 
 
 def projection_span(h: BoundaryMap, cfg: ExtensionConfig, x: BallPoint) -> ProjectionSpan:
     """Extent of the projected equator image along the target geodesic."""
-    core = _extend_core(h, cfg, x, refine_min=True)
-    return ProjectionSpan(t_min=core.t_min, t_max=core.t_max,
-                          argmax_index=core.argmax_index)
+    out = _extend_batch(h, cfg, x.coords[None, :])
+    return ProjectionSpan(t_min=float(out.t_min[0]), t_max=float(out.t_max[0]))
 
 
 def extension_field(h: BoundaryMap, cfg: ExtensionConfig, points) -> np.ndarray:
     """Rows (x_1..x_n, F_1..F_n, t_x, span_length) over the given points."""
     points = np.asarray(points, dtype=float)
-    rows = np.empty((points.shape[0], 2 * points.shape[1] + 2))
-    n = points.shape[1]
-    for i, coords in enumerate(points):
-        core = _extend_core(h, cfg, BallPoint(coords), refine_min=True)
-        img = core.axis.point_at(core.t_max)
-        rows[i, :n] = coords
-        rows[i, n:2 * n] = img.coords
-        rows[i, 2 * n] = core.t_max
-        rows[i, 2 * n + 1] = core.t_max - core.t_min
-    return rows
+    out = _extend_batch(h, cfg, points)
+    return np.column_stack([points, out.image, out.t_max, out.t_max - out.t_min])
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +259,13 @@ def boundary_bounds_check(h: BoundaryMap, cfg: ExtensionConfig, points) -> Bound
 
     points = np.asarray(points, dtype=float)
     lam = cfg.k.lam
-    src_lo, src_hi = np.inf, -np.inf
-    img_lo, img_hi = np.inf, -np.inf
-    for coords in points:
-        x = BallPoint(coords)
-        qx = q_of(x, cfg.p).direction
-        betas = _equator_raw(x, cfg.p, cfg.m)
-        src = visual_dist_many(coords, lam, betas, np.broadcast_to(qx, betas.shape))
-        x_img = extend(h, cfg, x)
-        q_img = h.apply_raw(qx[None, :])
-        img = visual_dist_many(x_img.coords, lam, h.apply_raw(betas),
-                               np.broadcast_to(q_img[0], betas.shape))
-        src_lo, src_hi = min(src_lo, src.min()), max(src_hi, src.max())
-        img_lo, img_hi = min(img_lo, img.min()), max(img_hi, img.max())
-    return BoundaryBandReport(source_min=float(src_lo), source_max=float(src_hi),
-                              image_min=float(img_lo), image_max=float(img_hi),
+    qx = _q_raw(points, cfg.p.direction)[:, None, :]
+    betas = _equator_raw(points, cfg.p.direction, cfg.m)
+    src = visual_dist_many(points[:, None, :], lam, betas, qx)
+    image = _extend_batch(h, cfg, points).image
+    img = visual_dist_many(image[:, None, :], lam, h.apply_raw(betas), h.apply_raw(qx))
+    return BoundaryBandReport(source_min=float(src.min()), source_max=float(src.max()),
+                              image_min=float(img.min()), image_max=float(img.max()),
                               samples=points.shape[0])
 
 
@@ -280,21 +285,15 @@ def continuity_modulus(h: BoundaryMap, cfg: ExtensionConfig, radius: float,
     n = cfg.p.n
     lam = cfg.k.lam
     bases = sample_ball_hyperbolic(rng, n_base, n, lam, radius)
-    base_imgs = [extend(h, cfg, BallPoint(b)) for b in bases]
     dirs = sample_boundary(rng, n_base * n_dirs, n).reshape(n_base, n_dirs, n)
-    rows = []
-    pool_max = 0.0
-    for eps in eps_grid:
-        radial = np.tanh(0.5 * lam * eps)
-        gaps = []
-        for i, b in enumerate(bases):
-            sphere = _mobius_add(b, radial * dirs[i])
-            for y in sphere:
-                gaps.append(hyp_dist(cfg.k, base_imgs[i],
-                                     extend(h, cfg, BallPoint(y))))
-        pool_max = max(pool_max, max(gaps))
-        rows.append((float(eps), float(pool_max), float(min(gaps))))
-    return rows
+    radial = np.tanh(0.5 * lam * eps_grid)[:, None, None, None]
+    spheres = _mobius_add(bases[:, None, :], radial * dirs)       # (eps, base, dir, n)
+    images = _extend_batch(h, cfg, np.concatenate([bases, spheres.reshape(-1, n)])).image
+    gaps = _dist_raw(lam, images[:n_base, None, :],
+                     images[n_base:].reshape(spheres.shape)).reshape(len(eps_grid), -1)
+    omega = np.maximum.accumulate(gaps.max(axis=1))
+    delta = gaps.min(axis=1)
+    return [(float(e), float(w), float(g)) for e, w, g in zip(eps_grid, omega, delta)]
 
 
 def compare_to_interior(f: InteriorMap, cfg: ExtensionConfig, points,
@@ -303,12 +302,8 @@ def compare_to_interior(f: InteriorMap, cfg: ExtensionConfig, points,
     if h is None:
         h = f.boundary_map()
     points = np.asarray(points, dtype=float)
-    worst = 0.0
-    for coords in points:
-        x = BallPoint(coords)
-        worst = max(worst, hyp_dist(cfg.k, extend(h, cfg, x),
-                                    BallPoint(f.apply_raw(coords[None, :])[0])))
-    return worst
+    image = _extend_batch(h, cfg, points).image
+    return float(np.max(_dist_raw(cfg.k.lam, image, f.apply_raw(points)), initial=0.0))
 
 
 def basepoint_sensitivity(h: BoundaryMap, p1: IdealPoint, p2: IdealPoint,
@@ -321,8 +316,6 @@ def basepoint_sensitivity(h: BoundaryMap, p1: IdealPoint, p2: IdealPoint,
     cfg1 = ExtensionConfig(p=p1, m=m, refine_iters=refine_iters, k=k)
     cfg2 = ExtensionConfig(p=p2, m=m, refine_iters=refine_iters, k=k)
     points = np.asarray(points, dtype=float)
-    worst = 0.0
-    for coords in points:
-        x = BallPoint(coords)
-        worst = max(worst, hyp_dist(k, extend(h, cfg1, x), extend(h, cfg2, x)))
-    return worst
+    f1 = _extend_batch(h, cfg1, points).image
+    f2 = _extend_batch(h, cfg2, points).image
+    return float(np.max(_dist_raw(k.lam, f1, f2), initial=0.0))

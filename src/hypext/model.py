@@ -313,32 +313,18 @@ def apply_mobius(m: MobiusIsometry, p: ClosurePoint) -> ClosurePoint:
 # geodesics
 # ---------------------------------------------------------------------------
 
-def _endpoints_to_frame(u, v):
-    """Anchor and direction of the arc orthogonal to the sphere from u to v.
+def _arc_frames_raw(u, v):
+    """Anchor m and unit direction d of the geodesics from ideal u to ideal v.
 
-    u and v are distinct unit vectors; the anchor is the point of the arc
-    nearest the Euclidean origin and the direction points from the u side
-    toward the v side.
+    The anchor is the point of the arc nearest the Euclidean origin.  The
+    reflection swapping u and v fixes it, so m lies along u + v and the
+    direction there is that of v - u.  For unit u, v the anchor is
+    m = (u + v) / (2 + |v - u|), which does not cancel near diameters.
+    Broadcasts over leading axes.
     """
-    s = float(np.dot(u, v))
-    chord = u + v
-    if np.linalg.norm(chord) < 1e-12:
-        # diameter through the origin
-        return np.zeros_like(u), v.copy()
-    c = chord / (1.0 + s)
-    nc = np.linalg.norm(c)
-    if nc <= 1.0 + 1e-15:
-        # u and v nearly coincide; the arc degenerates
-        raise GeometryError("ideal endpoints too close to span a geodesic")
-    chat = c / nc
-    # |anchor| = nc - sqrt(nc^2 - 1), computed in the cancellation-free form
-    anchor = chat / (nc + np.sqrt(nc * nc - 1.0))
-    w = v - u
-    w = w - np.dot(w, chat) * chat
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        raise GeometryError("degenerate geodesic direction")
-    return anchor, w / nw
+    diff = v - u
+    gap = np.linalg.norm(diff, axis=-1, keepdims=True)
+    return (u + v) / (2.0 + gap), diff / gap
 
 
 @dataclass(eq=False)
@@ -368,26 +354,33 @@ class Geodesic:
         return self.anchor.n
 
     def point_at(self, t: float) -> BallPoint:
-        return BallPoint(self.point_at_raw(np.asarray(t, dtype=float)))
+        return BallPoint(self.point_at_raw(t))
 
     def point_at_raw(self, t):
-        radial = np.tanh(0.5 * self.lam * np.asarray(t, dtype=float))
-        z = radial[..., None] * self.unit_direction_at_anchor
-        return _translate_interior(self.anchor.coords, z)
+        return _geodesic_point_raw(self.anchor.coords, self.unit_direction_at_anchor,
+                                   t, self.lam)
 
     def param_of(self, p: BallPoint) -> float:
         """Arc-length parameter of an interior point lying on the geodesic."""
         return float(self.param_of_raw(p.coords if isinstance(p, BallPoint) else p))
 
     def param_of_raw(self, coords):
-        z = _mobius_add(-self.anchor.coords, np.asarray(coords, dtype=float))
-        r = np.minimum(np.linalg.norm(z, axis=-1), 1.0 - INTERIOR_EPS)
-        sign = np.sign(np.sum(z * self.unit_direction_at_anchor, axis=-1))
-        return 2.0 * np.arctanh(r) * sign / self.lam
+        return _geodesic_param_raw(self.anchor.coords, self.unit_direction_at_anchor,
+                                   coords, self.lam)
 
 
-def point_at(g: Geodesic, t: float) -> BallPoint:
-    return g.point_at(t)
+def _geodesic_point_raw(m, d, t, lam):
+    """Points at arc-length parameters t on the geodesics with anchor m and
+    unit direction d at the anchor; broadcasts over leading axes."""
+    radial = np.tanh(0.5 * lam * np.asarray(t, dtype=float))
+    return _translate_interior(m, radial[..., None] * d)
+
+
+def _geodesic_param_raw(m, d, pts, lam):
+    """Arc-length parameters of points lying on the geodesics (m, d)."""
+    z = _mobius_add(-m, np.asarray(pts, dtype=float))
+    r = np.minimum(np.linalg.norm(z, axis=-1), 1.0 - INTERIOR_EPS)
+    return 2.0 * np.arctanh(r) * np.sign(np.sum(z * d, axis=-1)) / lam
 
 
 def geodesic_between(a: ClosurePoint, b: ClosurePoint, k: CurvatureScale = K1) -> Geodesic:
@@ -410,7 +403,7 @@ def geodesic_between(a: ClosurePoint, b: ClosurePoint, k: CurvatureScale = K1) -
         what = w / np.linalg.norm(w)
         u = a.direction
         v = _translate_ideal(b.coords, -what)
-    anchor, direction = _endpoints_to_frame(u, v)
+    anchor, direction = _arc_frames_raw(u, v)
     return Geodesic(a=a, b=b, anchor=BallPoint(anchor),
                     unit_direction_at_anchor=direction, lam=k.lam)
 

@@ -20,14 +20,12 @@ from .coarse import (
     quasicenter,
     thinness_batch,
 )
+from .errors import ConvergenceError, GeometryError
 from .extension import (
     ExtensionConfig,
     boundary_bounds_check,
     compare_to_interior,
     continuity_modulus,
-    extend,
-    projection_span,
-    q_of,
 )
 from .maps import (
     angle_warp,
@@ -48,6 +46,7 @@ from .model import (
     MobiusIsometry,
     TangentVector,
     _dist_raw,
+    _geodesic_point_raw,
     _mobius_add,
     angle,
     apply_mobius,
@@ -87,7 +86,7 @@ class CheckResult:
             "measured": self.measured,
             "threshold": self.threshold,
             "direction": self.direction,
-            "pass": self.passed,
+            "pass": bool(self.passed),
             "seconds": round(self.seconds, 3),
             **({"detail": self.detail} if self.detail else {}),
         }
@@ -399,7 +398,7 @@ def check_lemma_2_4_bound(cfg: VerifyConfig) -> CheckResult:
         x, y, z, _ = got
         try:
             g = geodesic_between(y, z, K1)
-        except Exception:
+        except (GeometryError, ConvergenceError):
             continue
         worst = max(worst, hyp_dist(K1, x, orthogonal_project(x, g)))
         made += 1
@@ -419,7 +418,7 @@ def check_lemma_2_4_bound(cfg: VerifyConfig) -> CheckResult:
             continue
         try:
             tri = Triangle(*got[:3])
-        except Exception:
+        except (GeometryError, ConvergenceError):
             continue
         by_dim[got[0].coords.size].append(coarse._triangle_arrays(tri))
     hd_worst = max([_obtuse_hausdorff_sup(*map(np.concatenate, zip(*arrays)))
@@ -439,10 +438,10 @@ def _obtuse_hausdorff_sup(coords, flags):
     the legs xy and zx of the distance to yz.  Distance to the convex side yz
     is convex along a leg, so each leg's sup sits at one of its window ends.
     """
-    m, r0, lo, hi = sides = coarse._prepare_side_data(coords, flags, 1.0, coarse.R_TRUNC)
-    leg_ends = coarse._side_points(m[:, [0, 0, 2, 2]], r0[:, [0, 0, 2, 2]],
+    m, d, lo, hi = sides = coarse._prepare_side_data(coords, flags, 1.0, coarse.R_TRUNC)
+    leg_ends = _geodesic_point_raw(m[:, [0, 0, 2, 2]], d[:, [0, 0, 2, 2]],
                                    np.stack([lo[:, 0], hi[:, 0], lo[:, 2], hi[:, 2]], 1), 1.0)
-    to_far = coarse._window_dist(leg_ends, m[:, 1:2], r0[:, 1:2], np.tanh(0.5 * lo[:, 1:2]),
+    to_far = coarse._window_dist(leg_ends, m[:, 1:2], d[:, 1:2], np.tanh(0.5 * lo[:, 1:2]),
                                  np.tanh(0.5 * hi[:, 1:2]), 1.0)
     return float(max(coarse._side_gaps(*sides, 1.0)[:, 1].max(), to_far.max()))
 
@@ -572,7 +571,7 @@ def check_quasicenter_uniqueness(cfg: VerifyConfig) -> CheckResult:
             tri = Triangle(*verts)
             w1, _ = quasicenter(tri, K1, seed=1)
             w2, _ = quasicenter(tri, K1, seed=2)
-        except Exception:
+        except (GeometryError, ConvergenceError):
             continue
         worst = max(worst, hyp_dist(K1, w1, w2))
         made += 1
@@ -599,7 +598,7 @@ def check_comparison_angles(cfg: VerifyConfig) -> CheckResult:
         try:
             tri = Triangle(*(BallPoint(p) for p in pts))
             rep = comparison_report(tri, k)
-        except Exception:
+        except (GeometryError, ConvergenceError):
             continue
         for meas, clam, cone in zip(rep.angles, rep.comparison_angles_lambda,
                                     rep.comparison_angles_one):
@@ -661,7 +660,7 @@ def check_lemma_2_6_proximity(cfg: VerifyConfig) -> CheckResult:
         x = ray.point_at(float(rng.uniform(-4.0, 4.0)))
         try:
             rows.append(visual.geodesic_proximity_probe(p, xi, eta, x, K1))
-        except Exception:
+        except (GeometryError, ConvergenceError):
             continue
         made += 1
     arr = np.asarray(rows).reshape(-1, 2)
@@ -699,7 +698,7 @@ def check_lemma_2_7_perpendicular(cfg: VerifyConfig) -> CheckResult:
         xi = IdealPoint(sample_boundary(rng, 1, n)[0])
         try:
             ang = visual.near_perpendicular_probe(x, y, xi, k)
-        except Exception:
+        except (GeometryError, ConvergenceError):
             continue
         margin = np.sin(ang) - 1.0 / np.cosh(lam * hyp_dist(k, x, y))
         worst = min(worst, float(margin))
@@ -749,11 +748,11 @@ def check_extension_identity(cfg: VerifyConfig) -> CheckResult:
     for n in (2, 3):
         h = identity_map(n)
         ext = ExtensionConfig(p=_ref_ideal(n), m=256, refine_iters=32)
-        for coords in sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0):
-            x = BallPoint(coords)
-            worst = max(worst, hyp_dist(K1, extend(h, ext, x), x))
+        pts = sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0)
+        image = extension._extend_batch(h, ext, pts).image
+        worst = max(worst, _dist_raw(1.0, image, pts).max())
     return CheckResult("extension_identity_law", "extension_construction",
-                       2 * per_dim, worst, 1e-9, worst < 1e-9, el())
+                       2 * per_dim, float(worst), 1e-9, worst < 1e-9, el())
 
 
 def check_extension_isometry(cfg: VerifyConfig) -> CheckResult:
@@ -766,12 +765,11 @@ def check_extension_isometry(cfg: VerifyConfig) -> CheckResult:
             MobiusIsometry.rotation(_random_rotation(rng, n)))
         h = mobius_boundary(iso)
         ext = ExtensionConfig(p=_ref_ideal(n), m=256, refine_iters=32)
-        for coords in sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0):
-            x = BallPoint(coords)
-            worst = max(worst, hyp_dist(K1, extend(h, ext, x),
-                                        BallPoint(iso.apply_interior_raw(coords))))
+        pts = sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0)
+        image = extension._extend_batch(h, ext, pts).image
+        worst = max(worst, _dist_raw(1.0, image, iso.apply_interior_raw(pts)).max())
     return CheckResult("extension_isometry_law", "extension_construction",
-                       2 * per_dim, worst, 1e-5, worst < 1e-5, el())
+                       2 * per_dim, float(worst), 1e-5, worst < 1e-5, el())
 
 
 def check_visual_band_source(cfg: VerifyConfig) -> CheckResult:
@@ -781,14 +779,11 @@ def check_visual_band_source(cfg: VerifyConfig) -> CheckResult:
     per_dim = cfg.count(300, 6)
     worst = 0.0
     for n in (2, 3):
-        p = _ref_ideal(n)
-        for coords in sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0):
-            x = BallPoint(coords)
-            qx = q_of(x, p).direction
-            betas = extension._equator_raw(x, p, 64)
-            vals = visual_dist_many(coords, 1.0, betas,
-                                    np.broadcast_to(qx, betas.shape))
-            worst = max(worst, float(np.max(np.abs(vals - SQRT2_M1))))
+        p = _ref_ideal(n).direction
+        pts = sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0)
+        vals = visual_dist_many(pts[:, None, :], 1.0, extension._equator_raw(pts, p, 64),
+                                extension._q_raw(pts, p)[:, None, :])
+        worst = max(worst, float(np.max(np.abs(vals - SQRT2_M1))))
     return CheckResult("lemma_3_2_visual_band", "lemma_3_2", 2 * per_dim, worst,
                        1e-9, worst < 1e-9, el())
 
@@ -827,12 +822,10 @@ def check_span_bound(cfg: VerifyConfig) -> CheckResult:
     inner = sample_ball_hyperbolic(rng, per_ball, 2, 1.0, 4.0)
     shell = sample_ball_hyperbolic(rng, per_ball, 2, 1.0, 6.0)
     for h in _builtin_boundary_maps(2):
-        sup4 = 0.0
-        for coords in inner:
-            sup4 = max(sup4, projection_span(h, ext, BallPoint(coords)).length)
-        sup6 = sup4
-        for coords in shell:
-            sup6 = max(sup6, projection_span(h, ext, BallPoint(coords)).length)
+        out = extension._extend_batch(h, ext, np.concatenate([inner, shell]))
+        spans = out.t_max - out.t_min
+        sup4 = float(spans[:per_ball].max())
+        sup6 = float(spans.max())
         rel = 0.0 if sup6 < 1e-6 else (sup6 - sup4) / sup6
         worst_rel = max(worst_rel, rel)
         detail[h.label()] = {"sup_r4": float(sup4), "sup_r6": float(sup6)}
@@ -871,7 +864,7 @@ def check_inverse_gap(cfg: VerifyConfig) -> CheckResult:
     min_delta = min(r[2] for r in rows)
     rng = rng_from(cfg.seed + 37)
     trials = cfg.count(1_000, 12)
-    ray_gap = np.inf
+    pairs = []
     made = attempts = 0
     while made < trials and attempts < 100 * trials:
         attempts += 1
@@ -881,10 +874,10 @@ def check_inverse_gap(cfg: VerifyConfig) -> CheckResult:
         g = geodesic_between(ext.p, IdealPoint(q), K1)
         t0 = float(rng.uniform(-3.0, 3.0))
         gap = float(rng.uniform(0.5, 2.0))
-        f1 = extend(h, ext, g.point_at(t0))
-        f2 = extend(h, ext, g.point_at(t0 + gap))
-        ray_gap = min(ray_gap, hyp_dist(K1, f1, f2))
+        pairs.append(g.point_at_raw(np.array([t0, t0 + gap])))
         made += 1
+    imgs = extension._extend_batch(h, ext, np.reshape(pairs, (-1, 2))).image.reshape(-1, 2, 2)
+    ray_gap = float(np.min(_dist_raw(1.0, imgs[:, 0], imgs[:, 1]), initial=np.inf))
     measured = float(min(min_delta, ray_gap))
     return CheckResult("prop_5_1_gap", "prop_5_1", made, measured, 0.0,
                        made == trials and measured > 0.0, el(), direction="measured>thr",
@@ -901,13 +894,13 @@ def check_extension_injectivity(cfg: VerifyConfig) -> CheckResult:
     h = angle_warp(0.2, 1, 2)
     ext = ExtensionConfig(p=_ref_ideal(2))
     pts = sample_ball_hyperbolic(rng, count, 2, 1.0, 4.0)
-    imgs = np.stack([extend(h, ext, BallPoint(c)).coords for c in pts])
+    imgs = extension._extend_batch(h, ext, pts).image
     src = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     dst = np.linalg.norm(imgs[:, None, :] - imgs[None, :, :], axis=-1)
     ok_pairs = src >= 1e-3
     min_img = float(np.min(np.where(ok_pairs, dst, np.inf)))
     trials = cfg.count(1_000, 12)
-    violations = 0
+    pairs = []
     made = attempts = 0
     while made < trials and attempts < 100 * trials:
         attempts += 1
@@ -918,13 +911,12 @@ def check_extension_injectivity(cfg: VerifyConfig) -> CheckResult:
         t1, t2 = np.sort(rng.uniform(-4.0, 4.0, 2))
         if t2 - t1 < 1e-3:
             continue
-        c1 = extension._extend_core(h, ext, g.point_at(t1))
-        c2 = extension._extend_core(h, ext, g.point_at(t2))
-        # larger source parameter lies closer to q = far endpoint, so its
-        # image parameter (measured toward the image of p) must be smaller
-        if not c2.t_max < c1.t_max:
-            violations += 1
+        pairs.append(g.point_at_raw(np.array([t1, t2])))
         made += 1
+    # larger source parameter lies closer to q = far endpoint, so its image
+    # parameter t_x (measured toward the image of p) must be smaller
+    t_x = extension._extend_batch(h, ext, np.reshape(pairs, (-1, 2))).t_max.reshape(-1, 2)
+    violations = int(np.sum(~(t_x[:, 1] < t_x[:, 0])))
     ok = made == trials and min_img >= 1e-8 and violations == 0
     return CheckResult("extension_injectivity", "extension_construction",
                        count + made, min_img, 1e-8, ok, el(),
@@ -949,17 +941,15 @@ def check_equivariance(cfg: VerifyConfig) -> CheckResult:
             pre_cfg = ExtensionConfig(
                 p=IdealPoint(g1.inverse().apply_ideal_raw(ext.p.direction)),
                 m=96, refine_iters=24)
-            for coords in sample_ball_hyperbolic(rng, per_map, n, 1.0, 3.0):
-                x = BallPoint(coords)
-                lhs = extend(post, ext, x)
-                rhs = apply_mobius(g2, extend(h, ext, x))
-                worst = max(worst, hyp_dist(K1, lhs, rhs))
-                lhs = extend(pre, pre_cfg,
-                             BallPoint(g1.inverse().apply_interior_raw(coords)))
-                rhs = extend(h, ext, x)
-                worst = max(worst, hyp_dist(K1, lhs, rhs))
+            pts = sample_ball_hyperbolic(rng, per_map, n, 1.0, 3.0)
+            base = extension._extend_batch(h, ext, pts).image
+            post_img = extension._extend_batch(post, ext, pts).image
+            pre_img = extension._extend_batch(
+                pre, pre_cfg, g1.inverse().apply_interior_raw(pts)).image
+            worst = max(worst, _dist_raw(1.0, post_img, g2.apply_interior_raw(base)).max(),
+                        _dist_raw(1.0, pre_img, base).max())
     return CheckResult("equivariance", "extension_construction", per_map * 8,
-                       worst, 1e-6, worst < 1e-6, el())
+                       float(worst), 1e-6, worst < 1e-6, el())
 
 
 def check_equator_planar_match(cfg: VerifyConfig) -> CheckResult:
@@ -979,14 +969,13 @@ def check_equator_planar_match(cfg: VerifyConfig) -> CheckResult:
     cfg2 = ExtensionConfig(p=_ref_ideal(2))
     cfg3 = ExtensionConfig(p=_ref_ideal(3), m=256, refine_iters=40)
     pts = sample_ball_hyperbolic(rng, count, 2, 1.0, 4.0)
+    flat = np.zeros((count, 1))
     for h2, h3 in pairs:
-        for coords in pts:
-            f2 = extend(h2, cfg2, BallPoint(coords))
-            f3 = extend(h3, cfg3, BallPoint([coords[0], coords[1], 0.0]))
-            worst = max(worst, hyp_dist(K1, f3,
-                                        BallPoint([f2.coords[0], f2.coords[1], 0.0])))
+        f2 = extension._extend_batch(h2, cfg2, pts).image
+        f3 = extension._extend_batch(h3, cfg3, np.hstack([pts, flat])).image
+        worst = max(worst, _dist_raw(1.0, f3, np.hstack([f2, flat])).max())
     return CheckResult("equator_planar_match", "extension_construction",
-                       count * 3, worst, 1e-4, worst < 1e-4, el())
+                       count * 3, float(worst), 1e-4, worst < 1e-4, el())
 
 
 def check_bounded_distance(cfg: VerifyConfig) -> CheckResult:

@@ -169,30 +169,27 @@ class TestThinness:
 DENSE = 16384
 
 
-def _dense_side_points(m, r0, lo, hi, lam):
+def _dense_side_points(m, d, lo, hi, lam):
     """(B, 3, DENSE, n) evenly spaced points of each side window, and the
     sample spacing of each side (B, 3)."""
     ts = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, DENSE)
-    pts = _mobius_add(m[:, :, None], np.tanh(0.5 * lam * ts)[..., None] * r0[:, :, None])
+    pts = _mobius_add(m[:, :, None], np.tanh(0.5 * lam * ts)[..., None] * d[:, :, None])
     return pts, (hi - lo) / (DENSE - 1)
 
 
 def _dense_side_distances(coords, flags, lam, r_trunc=R_TRUNC):
     """(B, 3, DENSE, 2) distances from the points of each side window to the
     windows of the other two sides, and the sample spacing of each side (B, 3)."""
-    m, r0, lo, hi = _prepare_side_data(coords, flags, lam, r_trunc)
-    side_pts, spacing = _dense_side_points(m, r0, lo, hi, lam)
+    m, d, lo, hi = _prepare_side_data(coords, flags, lam, r_trunc)
+    side_pts, spacing = _dense_side_points(m, d, lo, hi, lam)
     out = np.empty(side_pts.shape[:-1] + (2,))
     for i in range(3):
         pts = side_pts[:, i]
         for slot, j in enumerate(o for o in range(3) if o != i):
-            w = _mobius_add(-m[:, j, None], pts)
-            z1 = np.sum(w * r0[:, j, None], axis=-1)
-            rho = np.linalg.norm(w - z1[..., None] * r0[:, j, None], axis=-1)
-            foot = _foot_params_raw(np.stack([z1, rho], axis=-1), lam)
+            foot = _foot_params_raw(_mobius_add(-m[:, j, None], pts), d[:, j, None], lam)
             foot = np.clip(foot, lo[:, j, None], hi[:, j, None])
             near = _mobius_add(m[:, j, None], np.tanh(0.5 * lam * foot)[..., None]
-                               * r0[:, j, None])
+                               * d[:, j, None])
             out[:, i, :, slot] = _dist_raw(lam, pts, near)
     return out, spacing
 

@@ -5,12 +5,12 @@ measurements, continuity moduli, and comparisons with interior maps."""
 import numpy as np
 import pytest
 
-from hypext.coarse import _DiameterFrame
+from hypext.coarse import orthogonal_project
 from hypext.errors import GeometryError
 from hypext.extension import (
     ExtensionConfig,
-    _golden_extreme,
-    _ideal_foot_params,
+    _extend_batch,
+    _golden_max,
     basepoint_sensitivity,
     boundary_bounds_check,
     compare_to_interior,
@@ -36,6 +36,8 @@ from hypext.model import (
     BallPoint,
     IdealPoint,
     K1,
+    _mobius_add,
+    _translate_ideal,
     apply_mobius,
     geodesic_between,
     hyp_dist,
@@ -48,6 +50,34 @@ ORIGIN = BallPoint([0.0, 0.0])
 P_REF = IdealPoint(-E1)
 CFG2 = ExtensionConfig(p=P_REF)
 SQRT2_M1 = np.sqrt(2.0) - 1.0
+P3 = IdealPoint([-1.0, 0.0, 0.0])
+# latitude_warp(0.15, 2, 3) has two maxima of the foot parameter 1.7e-4
+# apart on the equator of this point
+TWO_MAXIMA_3D = (0.8310816517909676, 0.30416482467208117, -0.3117331679837296)
+
+
+def _dense_extremes(h, p, x, m=8192):
+    """Lowest and highest foot parameter of h over m samples of the equator
+    of x on the axis h(q_x) -> h(p), built without the extension core.
+
+    The foot of an ideal u on the geodesic from a to b sits at parameter
+    log(|u - a| / |u - b|) plus a constant (a cross-ratio), so the extreme
+    samples are picked by that and placed on the axis by orthogonal_project.
+    The samples sit half a step off the core's grid, with their own basis.
+    """
+    a, b = h(q_of(x, p)), h(p)
+    axis = geodesic_between(a, b)
+    basis = np.linalg.svd(_mobius_add(-x.coords, p.direction)[None, :])[2][1:]
+    theta = (np.arange(m) + 0.5) * 2.0 * np.pi / m
+    us = h.apply_raw(_translate_ideal(
+        x.coords, np.cos(theta)[:, None] * basis[0] + np.sin(theta)[:, None] * basis[1]))
+    rel = np.log(np.linalg.norm(us - a.direction, axis=1)
+                 / np.linalg.norm(us - b.direction, axis=1))
+
+    def param(u):
+        return axis.param_of(orthogonal_project(IdealPoint(u), axis))
+
+    return param(us[np.argmin(rel)]), param(us[np.argmax(rel)])
 
 
 def ideal(deg):
@@ -165,8 +195,6 @@ class TestExtendLaws:
         assert dst[mask].min() >= 1e-8
 
     def test_monotone_along_rays(self):
-        from hypext.extension import _extend_core
-
         h = angle_warp(0.2, 1, 2)
         gen = rng_from(5)
         for _ in range(40):
@@ -178,9 +206,8 @@ class TestExtendLaws:
             t1, t2 = np.sort(gen.uniform(-3.0, 3.0, 2))
             if t2 - t1 < 1e-2:
                 continue
-            c1 = _extend_core(h, CFG2, g.point_at(t1))
-            c2 = _extend_core(h, CFG2, g.point_at(t2))
-            assert c2.t_max < c1.t_max  # closer to q means farther from h(p)
+            t = _extend_batch(h, CFG2, g.point_at_raw(np.array([t1, t2]))).t_max
+            assert t[1] < t[0]  # closer to q means farther from h(p)
 
 
 class TestSpanAndBands:
@@ -202,23 +229,44 @@ class TestSpanAndBands:
         assert max(lengths) < 1.0
 
     def test_golden_extreme_minimum(self):
-        assert _golden_extreme(lambda t: (t - 1.0) ** 2 + 2.0, 0.0, 3.0, 40, False) == \
-            pytest.approx(2.0, abs=1e-12)
-        assert _golden_extreme(lambda t: 5.0 - (t - 1.0) ** 2, 0.0, 3.0, 40, True) == \
-            pytest.approx(5.0, abs=1e-12)
+        # bracket 0 seeks the max of 5 - (t - 1)^2, bracket 1 the min of
+        # (t - 1)^2 + 2 as the max of its negation, in lockstep
+        def f(x):
+            return np.array([5.0 - (x[0] - 1.0) ** 2, -((x[1] - 1.0) ** 2 + 2.0)])
+
+        best = _golden_max(f, np.zeros(2), np.full(2, 3.0), 40)
+        assert best[0] == pytest.approx(5.0, abs=1e-12)
+        assert -best[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_three_dim_span_matches_dense_equator(self):
         h = latitude_warp(0.15, 2, 3)
-        p = IdealPoint([-1.0, 0.0, 0.0])
-        cfg = ExtensionConfig(p=p)
+        cfg = ExtensionConfig(p=P3)
         for coords in sample_ball_hyperbolic(rng_from(31), 8, 3, 1.0, 4.0):
             x = BallPoint(coords)
             span = projection_span(h, cfg, x)
-            axis = geodesic_between(h(q_of(x, p)), h(p))
-            dirs = np.array([e.direction for e in equator(x, p, 8192)])
-            feet = _ideal_foot_params(_DiameterFrame.of(axis), h.apply_raw(dirs))
-            assert span.t_min == pytest.approx(np.nanmin(feet), abs=1e-4)
-            assert span.t_max == pytest.approx(np.nanmax(feet), abs=1e-4)
+            lo, hi = _dense_extremes(h, P3, x)
+            assert span.t_min == pytest.approx(lo, abs=1e-4)
+            assert span.t_max == pytest.approx(hi, abs=1e-4)
+
+    def test_two_near_equal_maxima_reach_the_higher(self):
+        h = latitude_warp(0.15, 2, 3)
+        x = BallPoint(TWO_MAXIMA_3D)
+        lo, hi = _dense_extremes(h, P3, x)
+        axis = geodesic_between(h(q_of(x, P3)), h(P3))
+        t_x = axis.param_of(extend(h, ExtensionConfig(p=P3), x))
+        assert hi - 1e-9 <= t_x <= hi + 1e-6
+
+    def test_three_dim_span_ends_reach_dense_extremes(self):
+        # the refined ends are attained feet, so they lie inside the true
+        # extremes: no dense sample may sit more than 1e-9 beyond them, and
+        # they may pass the densest sample only by the grid's own shortfall
+        h = latitude_warp(0.15, 2, 3)
+        pts = sample_ball_hyperbolic(rng_from(32), 300, 3, 1.0, 4.0)
+        out = _extend_batch(h, ExtensionConfig(p=P3), pts)
+        for coords, t_min, t_max in zip(pts, out.t_min, out.t_max):
+            lo, hi = _dense_extremes(h, P3, BallPoint(coords))
+            assert hi - 1e-9 <= t_max <= hi + 1e-6
+            assert lo - 1e-6 <= t_min <= lo + 1e-9
 
     def test_source_band_is_homogeneous(self):
         gen = rng_from(7)
