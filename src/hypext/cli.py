@@ -128,7 +128,6 @@ def _extension_config(cfg_doc, n, k) -> ExtensionConfig:
     return ExtensionConfig(p=IdealPoint.from_direction(p),
                            m=int(ext.get("m", 64)),
                            refine_iters=int(ext.get("refine_iters", 32)),
-                           tol=float(ext.get("tol", 1e-10)),
                            k=k)
 
 

@@ -80,6 +80,11 @@ def _foot_params_raw(w, d, lam):
 # orthogonal projection
 # ---------------------------------------------------------------------------
 
+def _project_raw(x, m, d, lam):
+    """Row-wise orthogonal_project of ball rows x on the geodesics (m, d)."""
+    return _geodesic_point_raw(m, d, _foot_params_raw(_mobius_add(-m, x), d, lam), lam)
+
+
 def orthogonal_project(q: ClosurePoint, g: Geodesic) -> BallPoint:
     """Perpendicular foot of q on g; q itself when q already lies on g."""
     m, d = g.anchor.coords, g.unit_direction_at_anchor

@@ -50,12 +50,9 @@ class ExtensionConfig:
     p: IdealPoint
     m: int = 64
     refine_iters: int = 32
-    tol: float = 1e-10
     k: CurvatureScale = K1
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise GeometryError("tolerance must be positive")
         if self.p.n == 3 and self.m < 16:
             raise GeometryError("dimension 3 needs at least 16 equator samples")
 

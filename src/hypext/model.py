@@ -422,16 +422,58 @@ def normalize_to_diameter(g: Geodesic) -> MobiusIsometry:
 # exponential map, rays, angles
 # ---------------------------------------------------------------------------
 
+def _exp_raw(x, v, lam):
+    """Row-wise exp_map: follow the geodesic from base rows x with Euclidean
+    tangent rows v for their length at curvature -lam^2; zero rows stay at
+    x.  Broadcasts over leading axes; lam is a scalar or one value per row.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    nv = np.linalg.norm(v, axis=-1)
+    length = 2.0 / (lam * (1.0 - np.sum(x * x, axis=-1))) * nv
+    unit = np.divide(v, nv[..., None], out=np.zeros_like(v), where=nv[..., None] > 0.0)
+    return _translate_interior(x, np.tanh(0.5 * lam * length)[..., None] * unit)
+
+
+def _direction_raw(x, target):
+    """Row-wise direction_at: unit initial directions at ball rows x toward
+    closure rows target; NaN rows where a target coincides with its base."""
+    w = _mobius_add(-np.asarray(x, dtype=float), target)
+    nw = np.linalg.norm(w, axis=-1, keepdims=True)
+    return np.divide(w, nw, out=np.full_like(w, np.nan), where=nw >= COINCIDENCE_EPS)
+
+
+def _angle_raw(x, y, z):
+    """Row-wise angle at x between the geodesics xy and xz; NaN where y or z
+    coincides with x."""
+    cos = np.sum(_direction_raw(x, y) * _direction_raw(x, z), axis=-1)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def _ray_limit_raw(x, v):
+    """Row-wise ray_limit: ideal endpoints of the rays from ball rows x with
+    initial direction rows v; NaN rows where v is zero."""
+    v = np.asarray(v, dtype=float)
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    return _translate_ideal(x, np.divide(v, nv, out=np.full_like(v, np.nan), where=nv > 0.0))
+
+
+def _right_triangle_residual_raw(lam, va, vb, vc):
+    """Row-wise right_triangle_residual and the angle at vc it presumes to
+    be pi/2."""
+    side_a = _dist_raw(lam, vb, vc)
+    residual = (np.cosh(lam * side_a) * np.sin(_angle_raw(vb, va, vc))
+                - np.cos(_angle_raw(va, vb, vc)))
+    return residual, _angle_raw(vc, va, vb)
+
+
 def exp_map(x: BallPoint, v: TangentVector, k: CurvatureScale = K1) -> BallPoint:
     """Follow the geodesic from x with initial direction v for length |v|."""
     if not np.array_equal(v.base.coords, x.coords):
         raise GeometryError("tangent vector is not based at x")
-    nv = np.linalg.norm(v.vec)
-    if nv == 0.0:
+    if not np.any(v.vec):
         return x
-    length = v.hyp_norm(k)
-    z = np.tanh(0.5 * k.lam * length) * (v.vec / nv)
-    return BallPoint(_translate_interior(x.coords, z))
+    return BallPoint(_exp_raw(x.coords[None], v.vec[None], k.lam)[0])
 
 
 def log_map(x: BallPoint, y: BallPoint, k: CurvatureScale = K1) -> TangentVector:
@@ -447,19 +489,18 @@ def log_map(x: BallPoint, y: BallPoint, k: CurvatureScale = K1) -> TangentVector
 
 def ray_limit(x: BallPoint, v: TangentVector) -> IdealPoint:
     """Ideal endpoint of the geodesic ray from x with initial direction v."""
-    nv = np.linalg.norm(v.vec)
-    if nv == 0.0:
+    u = _ray_limit_raw(x.coords[None], v.vec[None])[0]
+    if np.isnan(u[0]):
         raise GeometryError("ray direction must be nonzero")
-    return IdealPoint(_translate_ideal(x.coords, v.vec / nv))
+    return IdealPoint(u)
 
 
 def direction_at(x: BallPoint, target: ClosurePoint) -> np.ndarray:
     """Unit initial direction at x of the geodesic from x to target."""
-    w = _mobius_add(-x.coords, closure_coords(target))
-    nw = np.linalg.norm(w)
-    if nw < COINCIDENCE_EPS:
+    d = _direction_raw(x.coords[None], closure_coords(target)[None])[0]
+    if np.isnan(d[0]):
         raise GeometryError("direction undefined: target coincides with the base point")
-    return w / nw
+    return d
 
 
 def angle(x: BallPoint, y: ClosurePoint, z: ClosurePoint) -> float:
@@ -468,9 +509,10 @@ def angle(x: BallPoint, y: ClosurePoint, z: ClosurePoint) -> float:
     The model is conformal, so this is the Euclidean angle between the two
     initial directions after translating x to the origin.
     """
-    d1 = direction_at(x, y)
-    d2 = direction_at(x, z)
-    return float(np.arccos(np.clip(np.dot(d1, d2), -1.0, 1.0)))
+    a = _angle_raw(x.coords[None], closure_coords(y)[None], closure_coords(z)[None])[0]
+    if np.isnan(a):
+        raise GeometryError("direction undefined: target coincides with the base point")
+    return float(a)
 
 
 def right_triangle_residual(k: CurvatureScale, va: BallPoint, vb: BallPoint,
@@ -480,10 +522,8 @@ def right_triangle_residual(k: CurvatureScale, va: BallPoint, vb: BallPoint,
     ``a`` is the side opposite va.  Exactly built right triangles keep the
     residual below 1e-9.
     """
-    gamma = angle(vc, va, vb)
-    if abs(gamma - np.pi / 2.0) > right_angle_tol:
-        raise GeometryError(f"angle at the right-angle vertex is {gamma!r}, not pi/2")
-    side_a = hyp_dist(k, vb, vc)
-    ang_a = angle(va, vb, vc)
-    ang_b = angle(vb, va, vc)
-    return float(np.cosh(k.lam * side_a) * np.sin(ang_b) - np.cos(ang_a))
+    residual, gamma = _right_triangle_residual_raw(
+        k.lam, va.coords[None], vb.coords[None], vc.coords[None])
+    if not abs(gamma[0] - np.pi / 2.0) <= right_angle_tol:
+        raise GeometryError(f"angle at the right-angle vertex is {gamma[0]!r}, not pi/2")
+    return float(residual[0])

@@ -45,7 +45,8 @@ def _radius_cdf_inverse(u, lam, radius, n):
 
 
 def sample_ball_hyperbolic(rng, count: int, n: int, lam: float, radius: float) -> np.ndarray:
-    """Uniform samples (w.r.t. hyperbolic volume) in the ball of given radius."""
+    """Uniform samples (w.r.t. hyperbolic volume) in the ball of given radius;
+    lam is a scalar or one curvature scale per row."""
     dirs = sample_boundary(rng, count, n)
     r_hyp = _radius_cdf_inverse(rng.uniform(size=count), lam, radius, n)
     r_euc = np.tanh(0.5 * lam * r_hyp)

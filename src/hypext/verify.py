@@ -39,23 +39,27 @@ from .maps import (
     translation_along_first_axis,
 )
 from .model import (
+    COINCIDENCE_EPS,
     BallPoint,
     CurvatureScale,
     IdealPoint,
     K1,
     MobiusIsometry,
     TangentVector,
+    _angle_raw,
+    _arc_frames_raw,
     _dist_raw,
+    _exp_raw,
     _geodesic_point_raw,
     _mobius_add,
-    angle,
+    _ray_limit_raw,
+    _right_triangle_residual_raw,
     apply_mobius,
     exp_map,
     geodesic_between,
     hyp_dist,
     log_map,
     ray_limit,
-    right_triangle_residual,
     rotation_taking,
 )
 from .sampling import rng_from, sample_ball_euclidean, sample_ball_hyperbolic, sample_boundary
@@ -140,6 +144,67 @@ def _ref_ideal(n):
     return IdealPoint(v)
 
 
+def _padded(rng, ns, sampler, *args):
+    """Rows of sampler(rng, count, n, *args) in the dimensions ns, drawn one
+    call per dimension and zero-padded to three coordinates.  The model's
+    kernels give a padded 2-D row the same value as the 2-D row."""
+    out = np.zeros((ns.size, 3))
+    for n in (2, 3):
+        rows = ns == n
+        if np.any(rows):
+            out[rows, :n] = sampler(rng, int(rows.sum()), n, *args)
+    return out
+
+
+# Rows drawn per block by the rejection samplers.
+_BLOCK = 2048
+
+
+class _Sampler:
+    """Rejection sampling in blocks of _BLOCK rows.
+
+    ``run(draw)`` calls draw(count) for blocks of rows; draw returns an
+    array of per-row values and a list of (cause, mask) pairs marking the
+    rejected rows, the first matching cause counting each one.  It returns
+    the values of the first ``target`` accepted rows in draw order, after at
+    most ``cap`` rows (100 x target by default).  Repeated runs add up, one
+    target each: ``attempts`` counts the rows drawn up to and including each
+    run's last accepted row, ``rejections`` their rejected rows by cause.
+    """
+
+    def __init__(self, target, cap=None):
+        self.target = target
+        self.cap = 100 * target if cap is None else cap
+        self.made = 0
+        self.attempts = 0
+        self.rejections = {}
+
+    def run(self, draw):
+        kept = []
+        made = attempts = 0
+        while made < self.target and attempts < self.cap:
+            size = min(_BLOCK, self.cap - attempts)
+            values, causes = draw(size)
+            cause = np.full(size, len(causes))
+            for i, (_, mask) in reversed(list(enumerate(causes))):
+                cause[mask] = i
+            accepted = np.nonzero(cause == len(causes))[0][:self.target - made]
+            if made + accepted.size == self.target:
+                size = int(accepted[-1]) + 1
+            counts = np.bincount(cause[:size], minlength=len(causes))
+            for (name, _), c in zip(causes, counts):
+                self.rejections[name] = self.rejections.get(name, 0) + int(c)
+            kept.append(values[accepted])
+            made += accepted.size
+            attempts += size
+        self.made += made
+        self.attempts += attempts
+        return np.concatenate(kept)
+
+    def detail(self):
+        return {"attempts": self.attempts, "rejections": self.rejections}
+
+
 # ---------------------------------------------------------------------------
 # model checks
 # ---------------------------------------------------------------------------
@@ -152,22 +217,26 @@ def check_trig_identity(cfg: VerifyConfig) -> CheckResult:
     lams = (1.0, 1.5, 2.0)
     per = total // len(lams)
     worst = 0.0
+    sampler = _Sampler(per)
     for lam in lams:
-        k = CurvatureScale(lam)
-        for _ in range(per):
-            n = int(rng.integers(2, 4))
-            c = BallPoint(sample_ball_euclidean(rng, 1, n, 0.75)[0])
-            d1 = sample_boundary(rng, 1, n)[0]
-            d2 = sample_boundary(rng, 1, n)[0]
-            d2 -= (d2 @ d1) * d1
-            d2 /= np.linalg.norm(d2)
-            la, lb = rng.uniform(0.05, 2.5, 2)
-            conf = k.lam * (1.0 - c.coords @ c.coords) / 2.0
-            va = exp_map(c, TangentVector(c, d1 * la * conf), k)
-            vb = exp_map(c, TangentVector(c, d2 * lb * conf), k)
-            worst = max(worst, abs(right_triangle_residual(k, va, vb, c)))
-    return CheckResult("trig_identity", "trig_identity", per * len(lams), worst,
-                       1e-9, worst < 1e-9, el())
+        def draw(count):
+            ns = rng.integers(2, 4, count)
+            c = _padded(rng, ns, sample_ball_euclidean, 0.75)
+            d1 = _padded(rng, ns, sample_boundary)
+            d2 = _padded(rng, ns, sample_boundary)
+            d2 = coarse._normalize_rows(d2 - np.sum(d2 * d1, axis=1, keepdims=True) * d1)
+            legs = rng.uniform(0.05, 2.5, (count, 2))
+            conf = lam * (1.0 - np.sum(c * c, axis=1, keepdims=True)) / 2.0
+            va = _exp_raw(c, d1 * legs[:, :1] * conf, lam)
+            vb = _exp_raw(c, d2 * legs[:, 1:] * conf, lam)
+            residual, gamma = _right_triangle_residual_raw(lam, va, vb, c)
+            return residual, [("geometry", ~np.isfinite(residual)),
+                                 ("not_right_angle", ~(np.abs(gamma - np.pi / 2.0) <= 1e-9))]
+
+        residual = sampler.run(draw)
+        worst = max(worst, float(np.max(np.abs(residual), initial=0.0)))
+    return CheckResult("trig_identity", "trig_identity", sampler.made, worst,
+                       1e-9, worst < 1e-9, el(), detail=sampler.detail())
 
 
 def check_metric_axioms(cfg: VerifyConfig) -> CheckResult:
@@ -318,13 +387,19 @@ def _random_triangles(rng, count, n, lam, ideal_prob=0.4, radius=5.0):
 
     Ideal vertex pairs are kept 3e-3 apart (chordal): slivers between nearer
     ideal points live deeper than float64 can chart, so their thinness is
-    not measurable honestly.
+    not measurable honestly.  Two interior vertices are kept 1e-6 apart.  A
+    row that breaks either rule is redrawn whole, with its flags kept.
     """
     flags = rng.uniform(size=(count, 3)) < ideal_prob
-    boundary = sample_boundary(rng, count * 3, n).reshape(count, 3, n)
-    interior = sample_ball_hyperbolic(rng, count * 3, n, lam, radius).reshape(count, 3, n)
-    coords = np.where(flags[:, :, None], boundary, interior)
-    for _ in range(16):
+
+    def draw(rows):
+        boundary = sample_boundary(rng, rows.size * 3, n).reshape(rows.size, 3, n)
+        interior = sample_ball_hyperbolic(rng, rows.size * 3, n, lam,
+                                          radius).reshape(rows.size, 3, n)
+        return np.where(flags[rows][:, :, None], boundary, interior)
+
+    coords = draw(np.arange(count))
+    while True:
         bad = np.zeros(count, dtype=bool)
         for i, j in ((0, 1), (1, 2), (2, 0)):
             sep = np.linalg.norm(coords[:, i] - coords[:, j], axis=1)
@@ -332,12 +407,8 @@ def _random_triangles(rng, count, n, lam, ideal_prob=0.4, radius=5.0):
             same_kind = flags[:, i] == flags[:, j]
             bad |= np.where(both_ideal, sep < 3e-3, same_kind & (sep < 1e-6))
         if not np.any(bad):
-            break
-        idx = np.nonzero(bad)[0]
-        coords[idx, 0] = np.where(flags[idx, 0][:, None],
-                                  sample_boundary(rng, idx.size, n),
-                                  sample_ball_hyperbolic(rng, idx.size, n, lam, radius))
-    return coords, flags
+            return coords, flags
+        coords[bad] = draw(np.nonzero(bad)[0])
 
 
 def check_delta_log3(cfg: VerifyConfig) -> CheckResult:
@@ -359,27 +430,38 @@ def check_delta_log3(cfg: VerifyConfig) -> CheckResult:
                        worst <= thr, el())
 
 
-def _admissible_angle_config(rng, n, min_angle, ideal_prob=0.5, radius=3.0):
-    """x plus two closure points seen from x at an angle >= min_angle."""
-    x = BallPoint(sample_ball_hyperbolic(rng, 1, n, 1.0, radius)[0])
-    d1 = sample_boundary(rng, 1, n)[0]
-    d2 = sample_boundary(rng, 1, n)[0]
-    d2 -= (d2 @ d1) * d1
-    nrm = np.linalg.norm(d2)
-    if nrm < 1e-9:
-        return None
-    d2 /= nrm
-    phi = rng.uniform(min_angle, np.pi * 0.98)
-    dir2 = np.cos(phi) * d1 + np.sin(phi) * d2
+def _admissible_angle_config(rng, count, min_angle, ideal_prob=0.5, radius=3.0):
+    """Triangles (x, y, z) seen from x at an angle >= min_angle, in
+    dimensions 2 and 3 drawn per row (2-D rows pad a zero coordinate).
 
-    def endpoint(d):
-        if rng.uniform() < ideal_prob:
-            return ray_limit(x, TangentVector(x, d))
-        reach = float(rng.uniform(0.3, 6.0))
-        conf = (1.0 - x.coords @ x.coords) / 2.0
-        return exp_map(x, TangentVector(x, d * reach * conf), K1)
+    Returns vertex coordinates (count, 3, 3), ideal flags (count, 3) and a
+    mask of the rows whose second direction was not degenerate.
+    """
+    ns = rng.integers(2, 4, count)
+    x = _padded(rng, ns, sample_ball_hyperbolic, 1.0, radius)
+    d1 = _padded(rng, ns, sample_boundary)
+    d2 = _padded(rng, ns, sample_boundary)
+    d2 = d2 - np.sum(d2 * d1, axis=1, keepdims=True) * d1
+    nrm = np.linalg.norm(d2, axis=1, keepdims=True)
+    ok = nrm[:, 0] >= 1e-9
+    d2 = d2 / np.where(ok[:, None], nrm, 1.0)
+    phi = rng.uniform(min_angle, np.pi * 0.98, (count, 1))
+    dirs = np.stack([d1, np.cos(phi) * d1 + np.sin(phi) * d2], axis=1)
+    ideal = rng.uniform(size=(count, 2)) < ideal_prob
+    reach = rng.uniform(0.3, 6.0, (count, 2, 1))
+    conf = (1.0 - np.sum(x * x, axis=1))[:, None, None] / 2.0
+    xs = np.repeat(x[:, None, :], 2, axis=1)
+    ends = np.where(ideal[:, :, None], _ray_limit_raw(xs, dirs),
+                    _exp_raw(xs, dirs * reach * conf, 1.0))
+    coords = np.concatenate([x[:, None, :], ends], axis=1)
+    flags = np.concatenate([np.zeros((count, 1), dtype=bool), ideal], axis=1)
+    return coords, flags, ok
 
-    return x, endpoint(d1), endpoint(dir2), phi
+
+def _coincident(coords, flags, i, j):
+    """Rows whose vertices i and j are the same closure point."""
+    sep = np.linalg.norm(coords[:, i] - coords[:, j], axis=1)
+    return (flags[:, i] == flags[:, j]) & (sep <= COINCIDENCE_EPS)
 
 
 def check_lemma_2_4_bound(cfg: VerifyConfig) -> CheckResult:
@@ -388,20 +470,20 @@ def check_lemma_2_4_bound(cfg: VerifyConfig) -> CheckResult:
     el = _timer()
     rng = rng_from(cfg.seed + 11)
     total = cfg.count(10_000, 30)
-    worst = 0.0
-    made = attempts = 0
-    while made < total and attempts < 100 * total:
-        attempts += 1
-        got = _admissible_angle_config(rng, int(rng.integers(2, 4)), np.pi / 2.0)
-        if got is None:
-            continue
-        x, y, z, _ = got
-        try:
-            g = geodesic_between(y, z, K1)
-        except (GeometryError, ConvergenceError):
-            continue
-        worst = max(worst, hyp_dist(K1, x, orthogonal_project(x, g)))
-        made += 1
+
+    def draw(count):
+        coords, flags, ok = _admissible_angle_config(rng, count, np.pi / 2.0)
+        same = _coincident(coords, flags, 1, 2)
+        x = coords[:, 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m, d = _arc_frames_raw(*coarse._batch_side_endpoints(
+                coords[:, 1], flags[:, 1], coords[:, 2], flags[:, 2]))
+            dist = _dist_raw(1.0, x, coarse._project_raw(x, m, d, 1.0))
+        return dist, [("degenerate_frame", ~ok), ("geometry", same)]
+
+    sampler = _Sampler(total)
+    dist = sampler.run(draw)
+    worst = float(np.max(dist, initial=0.0))
     # symmetric ideal attainment
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
@@ -409,25 +491,15 @@ def check_lemma_2_4_bound(cfg: VerifyConfig) -> CheckResult:
                         orthogonal_project(BallPoint([0.0, 0.0]),
                                            geodesic_between(IdealPoint(e1), IdealPoint(e2))))
     att_err = abs(attained - LN_1_SQRT2)
-    # Hausdorff clause on a smaller sample, one batch per dimension
-    by_dim = {2: [], 3: []}
-    for _ in range(cfg.count(300, 6)):
-        got = _admissible_angle_config(rng, int(rng.integers(2, 4)), np.pi / 2.0,
-                                       ideal_prob=0.5)
-        if got is None:
-            continue
-        try:
-            tri = Triangle(*got[:3])
-        except (GeometryError, ConvergenceError):
-            continue
-        by_dim[got[0].coords.size].append(coarse._triangle_arrays(tri))
-    hd_worst = max([_obtuse_hausdorff_sup(*map(np.concatenate, zip(*arrays)))
-                    for arrays in by_dim.values() if arrays], default=0.0)
+    # Hausdorff clause on a smaller sample, in one batch
+    coords, flags, ok = _admissible_angle_config(rng, cfg.count(300, 6), np.pi / 2.0)
+    keep = ok & ~_coincident(coords, flags, 1, 2)
+    hd_worst = _obtuse_hausdorff_sup(coords[keep], flags[keep]) if np.any(keep) else 0.0
     thr = LN_1_SQRT2 + 1e-3
-    ok = made == total and worst <= thr and att_err <= 1e-6 and hd_worst <= thr
-    return CheckResult("lemma_2_4_bound", "lemma_2_4", made, worst, thr, ok, el(),
+    ok = sampler.made == total and worst <= thr and att_err <= 1e-6 and hd_worst <= thr
+    return CheckResult("lemma_2_4_bound", "lemma_2_4", sampler.made, worst, thr, ok, el(),
                        detail={"attainment_error": att_err, "hausdorff_sup": hd_worst,
-                               "attempts": attempts})
+                               **sampler.detail()})
 
 
 def _obtuse_hausdorff_sup(coords, flags):
@@ -446,18 +518,19 @@ def _obtuse_hausdorff_sup(coords, flags):
     return float(max(coarse._side_gaps(*sides, 1.0)[:, 1].max(), to_far.max()))
 
 
-def _thick_base_config(rng, min_angle, max_reach):
-    """x, y at distance >= 1 plus a cone direction making the angle at x
-    land in [min_angle, pi); the partner angle at y still needs checking."""
-    x = BallPoint(sample_ball_hyperbolic(rng, 1, 2, 1.0, 3.0)[0])
-    d = sample_boundary(rng, 1, 2)[0]
-    reach = float(rng.uniform(1.0, max_reach))
-    conf = (1.0 - x.coords @ x.coords) / 2.0
-    y = exp_map(x, TangentVector(x, d * reach * conf))
-    w = np.array([-d[1], d[0]]) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    alpha = float(rng.uniform(min_angle, np.pi * 0.7))
-    cone = np.cos(alpha) * d + np.sin(alpha) * w
-    return x, y, cone
+def _thick_base_config(rng, count, min_angle, max_angle, reach):
+    """Planar rows x, y at distance drawn from the interval reach, plus a
+    cone direction making the angle at x land in [min_angle, max_angle);
+    the partner angle at y still needs checking."""
+    x = sample_ball_hyperbolic(rng, count, 2, 1.0, 3.0)
+    d = sample_boundary(rng, count, 2)
+    dist = rng.uniform(*reach, (count, 1))
+    conf = (1.0 - np.sum(x * x, axis=1, keepdims=True)) / 2.0
+    y = _exp_raw(x, d * dist * conf, 1.0)
+    side = np.where(rng.uniform(size=(count, 1)) < 0.5, 1.0, -1.0)
+    w = np.stack([-d[:, 1], d[:, 0]], axis=1) * side
+    alpha = rng.uniform(min_angle, max_angle, (count, 1))
+    return x, y, np.cos(alpha) * d + np.sin(alpha) * w
 
 
 def check_lemma_2_1_gap(cfg: VerifyConfig) -> CheckResult:
@@ -466,28 +539,25 @@ def check_lemma_2_1_gap(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 12)
     total = cfg.count(5_000, 30)
     floor = np.pi / 4.0
-    best_sum = 0.0
-    made = 0
-    attempts = 0
-    while made < total and attempts < 100 * total:
-        attempts += 1
-        x, y, cone = _thick_base_config(rng, floor, 5.0)
-        if rng.uniform() < 0.5:
-            reach_z = float(rng.uniform(0.5, 5.0))
-            conf = (1.0 - x.coords @ x.coords) / 2.0
-            zc = exp_map(x, TangentVector(x, cone * reach_z * conf))
-        else:
-            zc = ray_limit(x, TangentVector(x, cone))
-        ax = angle(x, y, zc)
-        ay = angle(y, x, zc)
-        if ax < floor or ay < floor:
-            continue
-        best_sum = max(best_sum, ax + ay)
-        made += 1
-    gap = np.pi - best_sum
-    return CheckResult("lemma_2_1_gap", "lemma_2_1", made, gap, 0.0,
-                       gap > 0.0, el(), direction="measured>thr",
-                       detail={"empirical_gap": gap})
+
+    def draw(count):
+        x, y, cone = _thick_base_config(rng, count, floor, np.pi * 0.7, (1.0, 5.0))
+        interior = rng.uniform(size=(count, 1)) < 0.5
+        reach_z = rng.uniform(0.5, 5.0, (count, 1))
+        conf = (1.0 - np.sum(x * x, axis=1, keepdims=True)) / 2.0
+        zc = np.where(interior, _exp_raw(x, cone * reach_z * conf, 1.0),
+                      _ray_limit_raw(x, cone))
+        ax = _angle_raw(x, y, zc)
+        ay = _angle_raw(y, x, zc)
+        return ax + ay, [("geometry", ~np.isfinite(ax + ay)),
+                         ("angle_below_floor", (ax < floor) | (ay < floor))]
+
+    sampler = _Sampler(total)
+    sums = sampler.run(draw)
+    gap = np.pi - float(np.max(sums, initial=0.0))
+    return CheckResult("lemma_2_1_gap", "lemma_2_1", sampler.made, gap, 0.0,
+                       sampler.made == total and gap > 0.0, el(), direction="measured>thr",
+                       detail={"empirical_gap": gap, **sampler.detail()})
 
 
 def check_lemma_2_2_gap(cfg: VerifyConfig) -> CheckResult:
@@ -501,29 +571,23 @@ def check_lemma_2_2_gap(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 13)
     total = cfg.count(5_000, 30)
     floor = 3.0 * np.pi / 8.0
-    best_sum = 0.0
-    made = 0
-    attempts = 0
-    while made < total and attempts < 200 * total:
-        attempts += 1
-        x = BallPoint(sample_ball_hyperbolic(rng, 1, 2, 1.0, 3.0)[0])
-        d = sample_boundary(rng, 1, 2)[0]
-        reach = float(rng.uniform(0.5, 0.81))
-        conf = (1.0 - x.coords @ x.coords) / 2.0
-        y = exp_map(x, TangentVector(x, d * reach * conf))
-        w = np.array([-d[1], d[0]]) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        alpha = float(rng.uniform(floor, 0.55 * np.pi))
-        xi = ray_limit(x, TangentVector(x, np.cos(alpha) * d + np.sin(alpha) * w))
-        ay = angle(y, x, xi)
-        if ay < floor:
-            continue
-        best_sum = max(best_sum, angle(x, y, xi) + ay)
-        made += 1
-    gap = np.pi - best_sum
-    ok = made >= max(total // 4, 1) and gap > 0.0
-    return CheckResult("lemma_2_2_gap", "lemma_2_2", made, gap, 0.0,
+
+    def draw(count):
+        x, y, cone = _thick_base_config(rng, count, floor, 0.55 * np.pi, (0.5, 0.81))
+        xi = _ray_limit_raw(x, cone)
+        ay = _angle_raw(y, x, xi)
+        total_angle = _angle_raw(x, y, xi) + ay
+        return total_angle, [("geometry", ~np.isfinite(total_angle)),
+                             ("angle_below_floor", ay < floor)]
+
+    sampler = _Sampler(total, cap=200 * total)
+    sums = sampler.run(draw)
+    gap = np.pi - float(np.max(sums, initial=0.0))
+    ok = sampler.made >= max(total // 4, 1) and gap > 0.0
+    return CheckResult("lemma_2_2_gap", "lemma_2_2", sampler.made, gap, 0.0,
                        ok, el(), direction="measured>thr",
-                       detail={"empirical_gap": gap, "separation_floor": 0.5})
+                       detail={"empirical_gap": gap, "separation_floor": 0.5,
+                               **sampler.detail()})
 
 
 def check_lemma_2_3_small_angle(cfg: VerifyConfig) -> CheckResult:
@@ -532,27 +596,30 @@ def check_lemma_2_3_small_angle(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 14)
     pool = cfg.count(2_000, 20)
     s_grid = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1])
-    sups = np.zeros_like(s_grid)
-    made = 0
-    while made < pool:
-        n = int(rng.integers(2, 4))
-        x = BallPoint(sample_ball_hyperbolic(rng, 1, n, 1.0, 3.0)[0])
-        d = sample_boundary(rng, 1, n)[0]
-        zdir = sample_boundary(rng, 1, n)[0]
-        reach = float(rng.uniform(1.0, 4.0))
-        conf = (1.0 - x.coords @ x.coords) / 2.0
-        z = exp_map(x, TangentVector(x, zdir * reach * conf))
-        frac = float(rng.uniform(0.2, 1.0))
-        for i, s in enumerate(s_grid):
-            y = exp_map(x, TangentVector(x, d * (s * frac) * conf))
-            sups[i] = max(sups[i], angle(z, x, y))
-        made += 1
+
+    def draw(count):
+        ns = rng.integers(2, 4, count)
+        x = _padded(rng, ns, sample_ball_hyperbolic, 1.0, 3.0)
+        d = _padded(rng, ns, sample_boundary)
+        zdir = _padded(rng, ns, sample_boundary)
+        reach = rng.uniform(1.0, 4.0, (count, 1))
+        conf = (1.0 - np.sum(x * x, axis=1, keepdims=True)) / 2.0
+        z = _exp_raw(x, zdir * reach * conf, 1.0)
+        frac = rng.uniform(0.2, 1.0, (count, 1))
+        y = _exp_raw(x[:, None], (d * frac * conf)[:, None] * s_grid[:, None], 1.0)
+        ang = _angle_raw(z[:, None], x[:, None], y)
+        return ang, [("geometry", ~np.all(np.isfinite(ang), axis=1))]
+
+    sampler = _Sampler(pool)
+    ang = sampler.run(draw)
+    sups = np.max(ang, axis=0, initial=0.0)
     mono_violation = float(np.max(np.maximum(sups[:-1] - sups[1:], 0.0)))
     ok = mono_violation <= 1e-12 and sups[0] < 0.01
-    return CheckResult("lemma_2_3_small_angle", "lemma_2_3", pool, float(sups[0]),
+    return CheckResult("lemma_2_3_small_angle", "lemma_2_3", sampler.made, float(sups[0]),
                        0.01, ok, el(),
                        detail={"sup_by_scale": dict(zip(map(float, s_grid), map(float, sups))),
-                               "monotonicity_violation": mono_violation})
+                               "monotonicity_violation": mono_violation,
+                               **sampler.detail()})
 
 
 def check_quasicenter_uniqueness(cfg: VerifyConfig) -> CheckResult:
@@ -646,24 +713,20 @@ def check_lemma_2_6_proximity(cfg: VerifyConfig) -> CheckResult:
     rng = rng_from(cfg.seed + 21)
     total = cfg.count(4_000, 50)
     eps_grid = (0.05, 0.15, 0.5)
-    rows = []
-    made = attempts = 0
-    while made < total and attempts < 100 * total:
-        attempts += 1
-        n = int(rng.integers(2, 4))
-        us = sample_boundary(rng, 3, n)
-        if (np.linalg.norm(us[0] - us[1]) < 1e-3 or np.linalg.norm(us[0] - us[2]) < 1e-3
-                or np.linalg.norm(us[1] - us[2]) < 1e-3):
-            continue
-        p, xi, eta = (IdealPoint(u) for u in us)
-        ray = geodesic_between(p, xi, K1)
-        x = ray.point_at(float(rng.uniform(-4.0, 4.0)))
-        try:
-            rows.append(visual.geodesic_proximity_probe(p, xi, eta, x, K1))
-        except (GeometryError, ConvergenceError):
-            continue
-        made += 1
-    arr = np.asarray(rows).reshape(-1, 2)
+
+    def draw(count):
+        ns = rng.integers(2, 4, count)
+        ends = _padded(rng, np.repeat(ns, 3), sample_boundary).reshape(count, 3, 3)
+        p, xi, eta = ends[:, 0], ends[:, 1], ends[:, 2]
+        close = np.zeros(count, dtype=bool)
+        for a, b in ((p, xi), (p, eta), (xi, eta)):
+            close |= np.linalg.norm(a - b, axis=1) < 1e-3
+        x = _geodesic_point_raw(*_arc_frames_raw(p, xi), rng.uniform(-4.0, 4.0, count), 1.0)
+        vis, dist, ok = visual._proximity_raw(p, xi, eta, x, 1.0)
+        return np.stack([vis, dist], axis=1), [("close_pair", close), ("geometry", ~ok)]
+
+    sampler = _Sampler(total)
+    arr = sampler.run(draw)
     min_env = np.inf
     for eps in eps_grid:
         sel = arr[:, 1] >= eps
@@ -672,9 +735,9 @@ def check_lemma_2_6_proximity(cfg: VerifyConfig) -> CheckResult:
         sel = arr[:, 0] >= eps
         if np.any(sel):
             min_env = min(min_env, float(arr[sel, 1].min()))
-    return CheckResult("lemma_2_6_proximity", "lemma_2_6", made, float(min_env),
-                       0.0, made == total and min_env > 0.0, el(), direction="measured>thr",
-                       detail={"attempts": attempts})
+    return CheckResult("lemma_2_6_proximity", "lemma_2_6", sampler.made, float(min_env),
+                       0.0, sampler.made == total and min_env > 0.0, el(),
+                       direction="measured>thr", detail=sampler.detail())
 
 
 def check_lemma_2_7_perpendicular(cfg: VerifyConfig) -> CheckResult:
@@ -683,29 +746,29 @@ def check_lemma_2_7_perpendicular(cfg: VerifyConfig) -> CheckResult:
     el = _timer()
     rng = rng_from(cfg.seed + 22)
     total = cfg.count(4_000, 50)
-    worst = np.inf
-    made = attempts = 0
-    while made < total and attempts < 100 * total:
-        attempts += 1
-        n = int(rng.integers(2, 4))
-        lam = float(rng.choice([1.0, 2.0]))
-        k = CurvatureScale(lam)
-        x = BallPoint(sample_ball_hyperbolic(rng, 1, n, lam, 3.0)[0])
-        d = sample_boundary(rng, 1, n)[0]
-        reach = float(rng.uniform(1e-3, 1.5))
-        conf = lam * (1.0 - x.coords @ x.coords) / 2.0
-        y = exp_map(x, TangentVector(x, d * reach * conf), k)
-        xi = IdealPoint(sample_boundary(rng, 1, n)[0])
-        try:
-            ang = visual.near_perpendicular_probe(x, y, xi, k)
-        except (GeometryError, ConvergenceError):
-            continue
-        margin = np.sin(ang) - 1.0 / np.cosh(lam * hyp_dist(k, x, y))
-        worst = min(worst, float(margin))
-        made += 1
-    return CheckResult("lemma_2_7_perpendicular", "lemma_2_7", made, float(worst),
-                       -1e-9, made == total and worst >= -1e-9, el(),
-                       direction="measured>=thr", detail={"attempts": attempts})
+
+    def draw(count):
+        ns = rng.integers(2, 4, count)
+        lam = rng.choice([1.0, 2.0], count)
+        x = np.zeros((count, 3))
+        for n in (2, 3):
+            rows = ns == n
+            x[rows, :n] = sample_ball_hyperbolic(rng, int(rows.sum()), n, lam[rows], 3.0)
+        d = _padded(rng, ns, sample_boundary)
+        reach = rng.uniform(1e-3, 1.5, (count, 1))
+        conf = lam[:, None] * (1.0 - np.sum(x * x, axis=1, keepdims=True)) / 2.0
+        y = _exp_raw(x, d * reach * conf, lam)
+        xi = _padded(rng, ns, sample_boundary)
+        ang, ok = visual._near_perpendicular_raw(x, y, xi)
+        margin = np.sin(ang) - 1.0 / np.cosh(lam * _dist_raw(lam, x, y))
+        return margin, [("geometry", np.isnan(ang)), ("inadmissible", ~ok)]
+
+    sampler = _Sampler(total)
+    margin = sampler.run(draw)
+    worst = float(np.min(margin, initial=np.inf))
+    return CheckResult("lemma_2_7_perpendicular", "lemma_2_7", sampler.made, worst,
+                       -1e-9, sampler.made == total and worst >= -1e-9, el(),
+                       direction="measured>=thr", detail=sampler.detail())
 
 
 def check_qs_envelope(cfg: VerifyConfig) -> CheckResult:

@@ -14,16 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import orthogonal_project
+from .coarse import _project_raw, orthogonal_project
 from .errors import GeometryError
 from .maps import BoundaryMap
 from .model import (
+    COINCIDENCE_EPS,
     BallPoint,
     CurvatureScale,
     IdealPoint,
     K1,
+    _angle_raw,
+    _arc_frames_raw,
+    _dist_raw,
     _mobius_add,
-    angle,
     closure_eq,
     geodesic_between,
     hyp_dist,
@@ -85,29 +88,44 @@ def angle_visual_probe(cfg: VisualConfig, samples: int, *, seed=0,
     while np.any(close):
         vs[close] = sample_boundary(rng, int(close.sum()), n)
         close = np.linalg.norm(us - vs, axis=1) < 1e-6
-    dvals = np.empty(samples)
-    avals = np.empty(samples)
-    for i in range(samples):
-        x = BallPoint(centers[i])
-        dvals[i] = visual_dist_many(centers[i], lam, us[i][None, :], vs[i][None, :])[0]
-        avals[i] = angle(x, IdealPoint(us[i]), IdealPoint(vs[i]))
-    return np.column_stack([dvals, avals])
+    return np.column_stack([visual_dist_many(centers, lam, us, vs),
+                            _angle_raw(centers, us, vs)])
+
+
+def _proximity_raw(p, xi, eta, x, lam, on_ray_tol=1e-6):
+    """Row-wise geodesic_proximity_probe over ideal rows p, xi, eta and ball
+    rows x: (d_x(xi, eta), d(x, geodesic p eta), ok).  ok is False where the
+    probe would raise: two of the ideal points coincide, or x lies farther
+    than on_ray_tol from the geodesic p xi."""
+    def line_dist(u, v):
+        m, d = _arc_frames_raw(u, v)
+        return _dist_raw(lam, x, _project_raw(x, m, d, lam))
+
+    distinct = np.all([np.linalg.norm(a - b, axis=-1) > COINCIDENCE_EPS
+                       for a, b in ((p, xi), (xi, eta), (p, eta))], axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ok = distinct & (line_dist(p, xi) <= on_ray_tol)
+        return np.exp(-line_dist(xi, eta)), line_dist(p, eta), ok
 
 
 def geodesic_proximity_probe(p: IdealPoint, xi: IdealPoint, eta: IdealPoint,
                              x: BallPoint, k: CurvatureScale = K1,
                              *, on_ray_tol: float = 1e-6):
     """(d_x(xi, eta), d(x, geodesic p eta)) for x on the geodesic p xi."""
-    for a, b in ((p, xi), (xi, eta), (p, eta)):
-        if closure_eq(a, b):
-            raise GeometryError("probe needs three distinct boundary points")
-    ray = geodesic_between(p, xi, k)
-    if hyp_dist(k, x, orthogonal_project(x, ray)) > on_ray_tol:
-        raise GeometryError("x must lie on the geodesic between p and xi")
-    cfg = VisualConfig(x, k)
-    other = geodesic_between(p, eta, k)
-    return (visual_dist(cfg, xi, eta),
-            hyp_dist(k, x, orthogonal_project(x, other)))
+    vis, dist, ok = _proximity_raw(p.direction[None], xi.direction[None],
+                                   eta.direction[None], x.coords[None], k.lam, on_ray_tol)
+    if not ok[0]:
+        raise GeometryError("probe needs three distinct boundary points and x on the "
+                            "geodesic between p and xi")
+    return float(vis[0]), float(dist[0])
+
+
+def _near_perpendicular_raw(x, y, xi):
+    """Row-wise near_perpendicular_probe: angle_x(y, xi) and whether the row
+    is admissible, angle_x(y, xi) < pi/2 and angle_y(x, xi) <= pi/2.  The
+    angle is NaN, and the row inadmissible, where x and y coincide."""
+    ax = _angle_raw(x, y, xi)
+    return ax, (ax < np.pi / 2.0) & (_angle_raw(y, x, xi) <= np.pi / 2.0)
 
 
 def near_perpendicular_probe(x: BallPoint, y: BallPoint, xi: IdealPoint,
@@ -117,11 +135,10 @@ def near_perpendicular_probe(x: BallPoint, y: BallPoint, xi: IdealPoint,
     The admissible configurations satisfy sin(angle) >= 1 / cosh(lam d(x, y)),
     so the return value approaches pi/2 as the points merge.
     """
-    ax = angle(x, y, xi)
-    ay = angle(y, x, xi)
-    if not (ax < np.pi / 2.0 and ay <= np.pi / 2.0):
+    ax, ok = _near_perpendicular_raw(x.coords[None], y.coords[None], xi.direction[None])
+    if not ok[0]:
         raise GeometryError("probe preconditions: angle_x(y, xi) < pi/2 and angle_y(x, xi) <= pi/2")
-    return ax
+    return float(ax[0])
 
 
 # ---------------------------------------------------------------------------

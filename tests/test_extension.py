@@ -401,7 +401,3 @@ class TestConfigValidation:
     def test_small_equator_budget_rejected_in_three_dim(self):
         with pytest.raises(GeometryError):
             ExtensionConfig(p=IdealPoint([-1.0, 0.0, 0.0]), m=8)
-
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(GeometryError):
-            ExtensionConfig(p=P_REF, tol=0.0)

@@ -15,8 +15,15 @@ from hypext.model import (
     K1,
     MobiusIsometry,
     TangentVector,
+    _angle_raw,
+    _direction_raw,
+    _dist_raw,
+    _exp_raw,
+    _ray_limit_raw,
+    _right_triangle_residual_raw,
     angle,
     apply_mobius,
+    direction_at,
     exp_map,
     geodesic_between,
     hyp_dist,
@@ -26,6 +33,7 @@ from hypext.model import (
     right_triangle_residual,
     rotation_taking,
 )
+from hypext.sampling import rng_from, sample_ball_hyperbolic, sample_boundary
 
 K2 = CurvatureScale(2.0)
 E1 = np.array([1.0, 0.0])
@@ -304,3 +312,97 @@ class TestConvexity:
             assert gap(0.5 * (t0 + t1)) <= 0.5 * (gap(t0) + gap(t1)) + 1e-8
             # shared forward endpoint (both run toward us[1]): nonincreasing
             assert gap(t1 + 0.5) <= gap(t1) + 1e-8
+
+
+class TestRowWiseKernels:
+    """The row-wise kernels over many rows at once, held to the scalar APIs
+    row by row and to closed forms that do not share their code."""
+
+    ROWS = 60
+
+    def rows(self, n, lam, seed):
+        gen = rng_from(seed)
+        x = sample_ball_hyperbolic(gen, self.ROWS, n, lam, 4.0)
+        v = gen.normal(size=(self.ROWS, n)) * (1.0 - np.sum(x * x, axis=1, keepdims=True))
+        y = sample_ball_hyperbolic(gen, self.ROWS, n, lam, 4.0)
+        u = sample_boundary(gen, self.ROWS, n)
+        return x, v, y, u
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0])
+    def test_rows_match_scalar_apis(self, n, lam):
+        k = CurvatureScale(lam)
+        x, v, y, u = self.rows(n, lam, seed=int(10 * lam) + n)
+        exp_rows = _exp_raw(x, v, lam)
+        ray_rows = _ray_limit_raw(x, v)
+        to_ball = _direction_raw(x, y)
+        to_ideal = _direction_raw(x, u)
+        angles = _angle_raw(x, y, u)
+        for i in range(self.ROWS):
+            xi, yi, ui = BallPoint(x[i]), BallPoint(y[i]), IdealPoint(u[i])
+            tv = TangentVector(xi, v[i])
+            assert np.abs(exp_rows[i] - exp_map(xi, tv, k).coords).max() <= 1e-12
+            assert np.abs(ray_rows[i] - ray_limit(xi, tv).direction).max() <= 1e-12
+            assert np.abs(to_ball[i] - direction_at(xi, yi)).max() <= 1e-12
+            assert np.abs(to_ideal[i] - direction_at(xi, ui)).max() <= 1e-12
+            assert abs(angles[i] - angle(xi, yi, ui)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lam", [1.0, 1.5, 2.0])
+    def test_rows_match_closed_forms(self, n, lam):
+        x, v, y, u = self.rows(n, lam, seed=int(10 * lam) + n + 100)
+        conf = 2.0 / (lam * (1.0 - np.sum(x * x, axis=1)))
+        # exp: the point lies at the tangent vector's hyperbolic length
+        ends = _exp_raw(x, v, lam)
+        length = conf * np.linalg.norm(v, axis=1)
+        assert np.allclose(_dist_raw(lam, x, ends), length, rtol=1e-9, atol=1e-12)
+        # ray limit: the exp of a long multiple of v sits on it
+        far = _exp_raw(x, v * (40.0 / (lam * length))[:, None], lam)
+        assert np.abs(_ray_limit_raw(x, v) - far).max() <= 1e-9
+        # angle at x: hyperbolic law of cosines on interior triangles
+        z = _exp_raw(x, np.roll(v, 1, axis=0), lam)
+        a, b, c = (_dist_raw(lam, x, y), _dist_raw(lam, x, z), _dist_raw(lam, y, z))
+        cos_c = ((np.cosh(lam * a) * np.cosh(lam * b) - np.cosh(lam * c))
+                 / (np.sinh(lam * a) * np.sinh(lam * b)))
+        assert np.abs(np.cos(_angle_raw(x, y, z)) - cos_c).max() <= 1e-8
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_per_row_curvature_and_padding(self, lam):
+        x, v, y, u = self.rows(2, lam, seed=41)
+        lams = np.where(np.arange(self.ROWS) % 2 == 0, lam, 1.5)
+        per_row = _exp_raw(x, v, lams)
+        for i in range(self.ROWS):
+            assert np.array_equal(per_row[i], _exp_raw(x[i], v[i], lams[i]))
+        # a 2-D row padded with a zero coordinate is the same row in 3-D
+        pad = lambda a: np.hstack([a, np.zeros((a.shape[0], 1))])
+        assert np.array_equal(pad(_exp_raw(x, v, lam)), _exp_raw(pad(x), pad(v), lam))
+        assert np.array_equal(_angle_raw(x, y, u), _angle_raw(pad(x), pad(y), pad(u)))
+
+    def test_right_triangle_rows_match_scalar(self):
+        gen = rng_from(5)
+        c = sample_ball_hyperbolic(gen, 20, 3, 1.0, 2.0)
+        d1 = sample_boundary(gen, 20, 3)
+        d2 = sample_boundary(gen, 20, 3)
+        d2 -= np.sum(d2 * d1, axis=1, keepdims=True) * d1
+        d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
+        conf = 2.0 * (1.0 - np.sum(c * c, axis=1, keepdims=True)) / 2.0
+        va = _exp_raw(c, d1 * conf, 2.0)
+        vb = _exp_raw(c, d2 * 0.5 * conf, 2.0)
+        residual, gamma = _right_triangle_residual_raw(2.0, va, vb, c)
+        assert np.abs(gamma - np.pi / 2.0).max() <= 1e-9
+        for i in range(20):
+            assert abs(residual[i] - right_triangle_residual(
+                K2, BallPoint(va[i]), BallPoint(vb[i]), BallPoint(c[i]))) <= 1e-12
+
+    def test_scalar_error_paths(self):
+        x = BallPoint([0.3, -0.2])
+        with pytest.raises(GeometryError):
+            ray_limit(x, TangentVector(x, [0.0, 0.0]))
+        with pytest.raises(GeometryError):
+            direction_at(x, BallPoint([0.3, -0.2]))
+        with pytest.raises(GeometryError):
+            angle(x, x, IdealPoint(E1))
+        with pytest.raises(GeometryError):
+            exp_map(x, TangentVector(ORIGIN, [0.1, 0.0]))
+        assert np.all(np.isnan(_ray_limit_raw(x.coords[None], np.zeros((1, 2)))))
+        assert np.all(np.isnan(_direction_raw(x.coords[None], x.coords[None])))
