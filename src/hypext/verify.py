@@ -1,13 +1,22 @@
 """Check registry: every quantitative property the library promises, run at
 configurable sample counts and reported as machine-readable records.
 
-Each check returns a CheckResult carrying the measured statistic, the
-threshold it is held to, and the anchor id of the property catalog entry it
-implements.  The CLI ``verify`` command runs the whole registry; the
-acceptance test suite runs the flagship checks at their full default counts.
+A check is a body declared once with ``@_check(id, anchor, seed, threshold,
+direction)``, in registry order; anchor names the property catalog entry it
+implements.  The harness calls ``body(cfg, rng)``, rng seeded at ``cfg.seed
++ seed`` (None for a body that seeds its library calls from cfg), times it,
+and builds the CheckResult from the ``samples, measured[, ok[, detail]]``
+it returns.  A row passes when measured passes its direction's gate
+(max<=thr: <=, measured>thr: >, measured>=thr: >=, measured==thr: ==,
+finite: isfinite) and the side conditions ok hold.  Rejection loops run
+through _Sampler and report ``attempts`` and ``rejections`` by cause.  The
+CLI ``verify`` command runs the whole registry; the acceptance test suite
+runs the flagship checks at their full default counts.
 """
 
+import functools
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +77,8 @@ from .visual import VisualConfig, qs_basepoints, qs_cloud, visual_dist_many
 LOG3 = float(np.log(3.0))
 LN_1_SQRT2 = float(np.log(1.0 + np.sqrt(2.0)))
 SQRT2_M1 = float(np.sqrt(2.0) - 1.0)
+# threshold of lemma 2.4's distance bound and of its Hausdorff clause
+OBTUSE_THR = LN_1_SQRT2 + 1e-3
 
 
 @dataclass
@@ -109,9 +120,40 @@ class VerifyConfig:
         return self.scale < 1.0
 
 
-def _timer():
-    start = time.perf_counter()
-    return lambda: time.perf_counter() - start
+# The pass gate of each direction, on (measured, threshold).
+_GATES = {
+    "max<=thr": lambda m, t: m <= t,
+    "measured>thr": lambda m, t: m > t,
+    "measured>=thr": lambda m, t: m >= t,
+    "measured==thr": lambda m, t: m == t,
+    "finite": lambda m, t: np.isfinite(m),
+}
+
+# What a check body returns.
+_Outcome = namedtuple("_Outcome", "samples measured ok detail", defaults=(True, None))
+
+# (id, check) pairs in declaration order.
+ALL_CHECKS = []
+
+
+def _check(check_id, anchor, seed, threshold, direction="max<=thr"):
+    """Register the decorated body as the check check_id (see the module
+    docstring) and return the check, cfg -> CheckResult."""
+    gate = _GATES[direction]
+
+    def register(body):
+        @functools.wraps(body)
+        def check(cfg: VerifyConfig) -> CheckResult:
+            start = time.perf_counter()
+            out = _Outcome(*body(cfg, None if seed is None else rng_from(cfg.seed + seed)))
+            passed = bool(gate(out.measured, threshold) and out.ok)
+            return CheckResult(check_id, anchor, out.samples, out.measured, threshold, passed,
+                               time.perf_counter() - start, direction, out.detail or {})
+
+        ALL_CHECKS.append((check_id, check))
+        return check
+
+    return register
 
 
 def _random_rotation(rng, n):
@@ -161,15 +203,16 @@ _BLOCK = 2048
 
 
 class _Sampler:
-    """Rejection sampling in blocks of _BLOCK rows.
+    """Rejection sampling in blocks of up to _BLOCK rows.
 
     ``run(draw)`` calls draw(count) for blocks of rows; draw returns an
-    array of per-row values and a list of (cause, mask) pairs marking the
-    rejected rows, the first matching cause counting each one.  It returns
-    the values of the first ``target`` accepted rows in draw order, after at
-    most ``cap`` rows (100 x target by default).  Repeated runs add up, one
-    target each: ``attempts`` counts the rows drawn up to and including each
-    run's last accepted row, ``rejections`` their rejected rows by cause.
+    array of per-row values for at most count rows (a draw may return
+    fewer) and a list of (cause, mask) pairs marking the rejected rows, the
+    first matching cause counting each one.  It returns the values of the
+    first ``target`` accepted rows in draw order, after at most ``cap`` rows
+    (100 x target by default).  Repeated runs add up, one target each:
+    ``attempts`` counts the rows drawn up to and including each run's last
+    accepted row, ``rejections`` their rejected rows by cause.
     """
 
     def __init__(self, target, cap=None):
@@ -183,8 +226,8 @@ class _Sampler:
         kept = []
         made = attempts = 0
         while made < self.target and attempts < self.cap:
-            size = min(_BLOCK, self.cap - attempts)
-            values, causes = draw(size)
+            values, causes = draw(min(_BLOCK, self.cap - attempts))
+            size = len(values)
             cause = np.full(size, len(causes))
             for i, (_, mask) in reversed(list(enumerate(causes))):
                 cause[mask] = i
@@ -205,14 +248,34 @@ class _Sampler:
         return {"attempts": self.attempts, "rejections": self.rejections}
 
 
+def _one_row(causes, cause=None, value=np.nan):
+    """One drawn row for _Sampler.run: value, rejected by cause unless cause
+    is None.  causes names every cause the draw reports, so that each run
+    counts them all."""
+    return np.array([value]), [(name, np.array([name == cause])) for name in causes]
+
+
+def _sampled_max(target, draw):
+    """The outcome of a check whose statistic is the max of the values of
+    target rows accepted from draw (0 when none), with the full sample
+    count as its side condition."""
+    sampler = _Sampler(target)
+    worst = float(np.max(sampler.run(draw), initial=0.0))
+    return sampler.made, worst, sampler.made == target, sampler.detail()
+
+
+# Rejection causes of a one-row draw that calls the library, by the error
+# the library raises.
+_ERROR_CAUSES = {GeometryError: "geometry", ConvergenceError: "convergence"}
+
+
 # ---------------------------------------------------------------------------
 # model checks
 # ---------------------------------------------------------------------------
 
-def check_trig_identity(cfg: VerifyConfig) -> CheckResult:
+@_check("trig_identity", "trig_identity", seed=0, threshold=1e-9)
+def check_trig_identity(cfg, rng):
     """Right-triangle identity cosh(lam a) sin B = cos A."""
-    el = _timer()
-    rng = rng_from(cfg.seed)
     total = cfg.count(10_000, 30)
     lams = (1.0, 1.5, 2.0)
     per = total // len(lams)
@@ -235,14 +298,12 @@ def check_trig_identity(cfg: VerifyConfig) -> CheckResult:
 
         residual = sampler.run(draw)
         worst = max(worst, float(np.max(np.abs(residual), initial=0.0)))
-    return CheckResult("trig_identity", "trig_identity", sampler.made, worst,
-                       1e-9, worst < 1e-9, el(), detail=sampler.detail())
+    return sampler.made, worst, True, sampler.detail()
 
 
-def check_metric_axioms(cfg: VerifyConfig) -> CheckResult:
+@_check("metric_axioms", "model_metric", seed=1, threshold=1e-9)
+def check_metric_axioms(cfg, rng):
     """Symmetry (exact) and triangle inequality on random triples."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 1)
     total = cfg.count(10_000, 50)
     worst = 0.0
     for n in (2, 3):
@@ -257,14 +318,12 @@ def check_metric_axioms(cfg: VerifyConfig) -> CheckResult:
             dcb = _dist_raw(lam, c, b)
             worst = max(worst, float(np.max(np.abs(dab - dba))))
             worst = max(worst, float(np.max(dab - (dac + dcb))))
-    return CheckResult("metric_axioms", "model_metric", total, worst,
-                       1e-9, worst < 1e-9, el())
+    return total, worst
 
 
-def check_lambda_scaling(cfg: VerifyConfig) -> CheckResult:
+@_check("lambda_scaling", "model_metric", seed=2, threshold=1e-12)
+def check_lambda_scaling(cfg, rng):
     """Distance at scale lam equals the reference distance divided by lam."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 2)
     total = cfg.count(5_000, 50)
     worst = 0.0
     for n in (2, 3):
@@ -273,31 +332,30 @@ def check_lambda_scaling(cfg: VerifyConfig) -> CheckResult:
         base = _dist_raw(1.0, a, b)
         for lam in (1.5, 2.0, 3.0):
             worst = max(worst, float(np.max(np.abs(_dist_raw(lam, a, b) * lam - base))))
-    return CheckResult("lambda_scaling", "model_metric", total, worst,
-                       1e-12, worst < 1e-12, el())
+    return total, worst
 
 
-def check_convexity(cfg: VerifyConfig) -> CheckResult:
+@_check("convexity", "distance_convexity", seed=3, threshold=1e-8)
+def check_convexity(cfg, rng):
     """Distance between geodesics is convex; nonincreasing when the forward
     endpoints agree."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 3)
     trials = cfg.count(800, 12)
-    worst = 0.0
-    for _ in range(trials):
+    causes = ("close_endpoints",)
+
+    def draw(_):
         n = int(rng.integers(2, 4))
         lam = float(rng.choice([1.0, 2.0]))
         k = CurvatureScale(lam)
         us = sample_boundary(rng, 4, n)
         if min(np.linalg.norm(us[0] - us[1]), np.linalg.norm(us[2] - us[3])) < 1e-3:
-            continue
+            return _one_row(causes, "close_endpoints")
         g1 = geodesic_between(IdealPoint(us[0]), IdealPoint(us[1]), k)
         g2 = geodesic_between(IdealPoint(us[2]), IdealPoint(us[3]), k)
         t = np.sort(rng.uniform(-4.0, 4.0, 2))
         f = lambda s: float(_dist_raw(lam, g1.point_at_raw(np.asarray(s)),
                                       g2.point_at_raw(np.asarray(s))))
         mid = 0.5 * (t[0] + t[1])
-        worst = max(worst, f(mid) - 0.5 * (f(t[0]) + f(t[1])))
+        worst = f(mid) - 0.5 * (f(t[0]) + f(t[1]))
         # shared forward endpoint: distance must not increase
         g3 = geodesic_between(IdealPoint(us[2]), IdealPoint(us[1]), k)
         if np.linalg.norm(us[2] - us[1]) > 1e-3:
@@ -308,59 +366,59 @@ def check_convexity(cfg: VerifyConfig) -> CheckResult:
             d1 = float(_dist_raw(lam, g1.point_at_raw(np.asarray(s1)),
                                  g3.point_at_raw(np.asarray(s1))))
             worst = max(worst, d1 - d0)
-    return CheckResult("convexity", "distance_convexity", trials, worst,
-                       1e-8, worst < 1e-8, el())
+        return _one_row(causes, value=worst)
+
+    return _sampled_max(trials, draw)
 
 
-def check_exp_log_roundtrip(cfg: VerifyConfig) -> CheckResult:
-    el = _timer()
-    rng = rng_from(cfg.seed + 4)
+@_check("exp_log_roundtrip", "exponential_map", seed=4, threshold=1e-9)
+def check_exp_log_roundtrip(cfg, rng):
     trials = cfg.count(2_000, 20)
-    worst = 0.0
-    for _ in range(trials):
+    causes = ("zero_vector",)
+
+    def draw(_):
         n = int(rng.integers(2, 4))
         lam = float(rng.choice([1.0, 1.5, 2.0]))
         k = CurvatureScale(lam)
         x = BallPoint(sample_ball_euclidean(rng, 1, n, 0.9)[0])
         vec = rng.normal(size=n) * 0.2 * (1.0 - np.linalg.norm(x.coords))
         if np.linalg.norm(vec) < 1e-12:
-            continue
+            return _one_row(causes, "zero_vector")
         v = TangentVector(x, vec)
         back = log_map(x, exp_map(x, v, k), k)
-        worst = max(worst, float(np.linalg.norm(back.vec - v.vec)))
-        worst = max(worst, abs(hyp_dist(k, x, exp_map(x, v, k)) - v.hyp_norm(k)))
-    return CheckResult("exp_log_roundtrip", "exponential_map", trials, worst,
-                       1e-9, worst < 1e-9, el())
+        return _one_row(causes, value=max(float(np.linalg.norm(back.vec - v.vec)),
+                                          abs(hyp_dist(k, x, exp_map(x, v, k)) - v.hyp_norm(k))))
+
+    return _sampled_max(trials, draw)
 
 
-def check_ray_limit_homeo(cfg: VerifyConfig) -> CheckResult:
+@_check("ray_limit_homeo", "direction_boundary_homeo", seed=5, threshold=1e-9)
+def check_ray_limit_homeo(cfg, rng):
     """Direction-to-boundary map is injective and hits a dense boundary sample."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 5)
     trials = cfg.count(400, 8)
-    worst = 0.0
-    for _ in range(trials):
+    causes = ("close_pair",)
+
+    def draw(_):
         n = int(rng.integers(2, 4))
         x = BallPoint(sample_ball_euclidean(rng, 1, n, 0.9)[0])
         d1, d2 = sample_boundary(rng, 2, n)
         if np.linalg.norm(d1 - d2) < 1e-3:
-            continue
+            return _one_row(causes, "close_pair")
         u1 = ray_limit(x, TangentVector(x, d1))
         u2 = ray_limit(x, TangentVector(x, d2))
-        if np.linalg.norm(u1.direction - u2.direction) < 1e-8:
-            worst = max(worst, 1.0)
+        collapsed = float(np.linalg.norm(u1.direction - u2.direction) < 1e-8)
         # constructive surjectivity: invert and shoot back
         target = sample_boundary(rng, 1, n)[0]
         w = _mobius_add(-x.coords, target)
         again = ray_limit(x, TangentVector(x, w / np.linalg.norm(w)))
-        worst = max(worst, float(np.linalg.norm(again.direction - target)))
-    return CheckResult("ray_limit_homeo", "direction_boundary_homeo", trials, worst,
-                       1e-9, worst < 1e-9, el())
+        return _one_row(causes, value=max(collapsed,
+                                          float(np.linalg.norm(again.direction - target))))
+
+    return _sampled_max(trials, draw)
 
 
-def check_mobius_isometry(cfg: VerifyConfig) -> CheckResult:
-    el = _timer()
-    rng = rng_from(cfg.seed + 6)
+@_check("mobius_isometry", "model_isometries", seed=6, threshold=1e-9)
+def check_mobius_isometry(cfg, rng):
     trials = cfg.count(2_000, 20)
     worst = 0.0
     for _ in range(trials):
@@ -374,8 +432,7 @@ def check_mobius_isometry(cfg: VerifyConfig) -> CheckResult:
                                - hyp_dist(k, x, y)))
         u = IdealPoint(sample_boundary(rng, 1, n)[0])
         worst = max(worst, abs(np.linalg.norm(apply_mobius(iso, u).direction) - 1.0))
-    return CheckResult("mobius_isometry", "model_isometries", trials, worst,
-                       1e-9, worst < 1e-9, el())
+    return trials, worst
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +468,10 @@ def _random_triangles(rng, count, n, lam, ideal_prob=0.4, radius=5.0):
         coords[bad] = draw(np.nonzero(bad)[0])
 
 
-def check_delta_log3(cfg: VerifyConfig) -> CheckResult:
+@_check("delta_log3", "delta_log3", seed=10, threshold=LOG3 + 1e-3)
+def check_delta_log3(cfg, rng):
     """Thinness of random (interior and truncated-ideal) triangles stays
     below the hyperbolicity constant log 3."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 10)
     total = cfg.count(100_000, 40)
     per = total // 4
     worst = 0.0
@@ -425,9 +481,7 @@ def check_delta_log3(cfg: VerifyConfig) -> CheckResult:
             coords, flags = _random_triangles(rng, per, n, lam)
             vals = thinness_batch(coords, flags, k)
             worst = max(worst, float(np.max(vals)))
-    thr = LOG3 + 1e-3
-    return CheckResult("delta_log3", "delta_log3", per * 4, worst, thr,
-                       worst <= thr, el())
+    return per * 4, worst
 
 
 def _admissible_angle_config(rng, count, min_angle, ideal_prob=0.5, radius=3.0):
@@ -464,60 +518,6 @@ def _coincident(coords, flags, i, j):
     return (flags[:, i] == flags[:, j]) & (sep <= COINCIDENCE_EPS)
 
 
-def check_lemma_2_4_bound(cfg: VerifyConfig) -> CheckResult:
-    """Obtuse-or-right vertex: distance to the far side is uniformly small,
-    with the symmetric ideal right angle as the extreme case."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 11)
-    total = cfg.count(10_000, 30)
-
-    def draw(count):
-        coords, flags, ok = _admissible_angle_config(rng, count, np.pi / 2.0)
-        same = _coincident(coords, flags, 1, 2)
-        x = coords[:, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m, d = _arc_frames_raw(*coarse._batch_side_endpoints(
-                coords[:, 1], flags[:, 1], coords[:, 2], flags[:, 2]))
-            dist = _dist_raw(1.0, x, coarse._project_raw(x, m, d, 1.0))
-        return dist, [("degenerate_frame", ~ok), ("geometry", same)]
-
-    sampler = _Sampler(total)
-    dist = sampler.run(draw)
-    worst = float(np.max(dist, initial=0.0))
-    # symmetric ideal attainment
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    attained = hyp_dist(K1, BallPoint([0.0, 0.0]),
-                        orthogonal_project(BallPoint([0.0, 0.0]),
-                                           geodesic_between(IdealPoint(e1), IdealPoint(e2))))
-    att_err = abs(attained - LN_1_SQRT2)
-    # Hausdorff clause on a smaller sample, in one batch
-    coords, flags, ok = _admissible_angle_config(rng, cfg.count(300, 6), np.pi / 2.0)
-    keep = ok & ~_coincident(coords, flags, 1, 2)
-    hd_worst = _obtuse_hausdorff_sup(coords[keep], flags[keep]) if np.any(keep) else 0.0
-    thr = LN_1_SQRT2 + 1e-3
-    ok = sampler.made == total and worst <= thr and att_err <= 1e-6 and hd_worst <= thr
-    return CheckResult("lemma_2_4_bound", "lemma_2_4", sampler.made, worst, thr, ok, el(),
-                       detail={"attainment_error": att_err, "hausdorff_sup": hd_worst,
-                               **sampler.detail()})
-
-
-def _obtuse_hausdorff_sup(coords, flags):
-    """Hausdorff clause of lemma 2.4 over triangles (x, y, z) at curvature -1.
-
-    The larger of the sup over the far side yz of the distance to the nearer
-    leg (that side's gap in the thinness crossing search) and the sup over
-    the legs xy and zx of the distance to yz.  Distance to the convex side yz
-    is convex along a leg, so each leg's sup sits at one of its window ends.
-    """
-    m, d, lo, hi = sides = coarse._prepare_side_data(coords, flags, 1.0, coarse.R_TRUNC)
-    leg_ends = _geodesic_point_raw(m[:, [0, 0, 2, 2]], d[:, [0, 0, 2, 2]],
-                                   np.stack([lo[:, 0], hi[:, 0], lo[:, 2], hi[:, 2]], 1), 1.0)
-    to_far = coarse._window_dist(leg_ends, m[:, 1:2], d[:, 1:2], np.tanh(0.5 * lo[:, 1:2]),
-                                 np.tanh(0.5 * hi[:, 1:2]), 1.0)
-    return float(max(coarse._side_gaps(*sides, 1.0)[:, 1].max(), to_far.max()))
-
-
 def _thick_base_config(rng, count, min_angle, max_angle, reach):
     """Planar rows x, y at distance drawn from the interval reach, plus a
     cone direction making the angle at x land in [min_angle, max_angle);
@@ -533,10 +533,9 @@ def _thick_base_config(rng, count, min_angle, max_angle, reach):
     return x, y, np.cos(alpha) * d + np.sin(alpha) * w
 
 
-def check_lemma_2_1_gap(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_2_1_gap", "lemma_2_1", seed=12, threshold=0.0, direction="measured>thr")
+def check_lemma_2_1_gap(cfg, rng):
     """Angle sum of thick-base triangles stays boundedly below pi."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 12)
     total = cfg.count(5_000, 30)
     floor = np.pi / 4.0
 
@@ -555,20 +554,18 @@ def check_lemma_2_1_gap(cfg: VerifyConfig) -> CheckResult:
     sampler = _Sampler(total)
     sums = sampler.run(draw)
     gap = np.pi - float(np.max(sums, initial=0.0))
-    return CheckResult("lemma_2_1_gap", "lemma_2_1", sampler.made, gap, 0.0,
-                       sampler.made == total and gap > 0.0, el(), direction="measured>thr",
-                       detail={"empirical_gap": gap, **sampler.detail()})
+    return (sampler.made, gap, sampler.made == total,
+            {"empirical_gap": gap, **sampler.detail()})
 
 
-def check_lemma_2_2_gap(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_2_2_gap", "lemma_2_2", seed=13, threshold=0.0, direction="measured>thr")
+def check_lemma_2_2_gap(cfg, rng):
     """Same gap with the far vertex replaced by a shared ideal point.
 
     Both base angles >= 3 pi / 8 force cosh(lam d(x, y)) <= 1.344, so the
     separation floor is 0.5 here (the floor 1.0 would make the hypothesis
     set empty and the check vacuous).
     """
-    el = _timer()
-    rng = rng_from(cfg.seed + 13)
     total = cfg.count(5_000, 30)
     floor = 3.0 * np.pi / 8.0
 
@@ -583,17 +580,13 @@ def check_lemma_2_2_gap(cfg: VerifyConfig) -> CheckResult:
     sampler = _Sampler(total, cap=200 * total)
     sums = sampler.run(draw)
     gap = np.pi - float(np.max(sums, initial=0.0))
-    ok = sampler.made >= max(total // 4, 1) and gap > 0.0
-    return CheckResult("lemma_2_2_gap", "lemma_2_2", sampler.made, gap, 0.0,
-                       ok, el(), direction="measured>thr",
-                       detail={"empirical_gap": gap, "separation_floor": 0.5,
-                               **sampler.detail()})
+    return (sampler.made, gap, sampler.made >= max(total // 4, 1),
+            {"empirical_gap": gap, "separation_floor": 0.5, **sampler.detail()})
 
 
-def check_lemma_2_3_small_angle(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_2_3_small_angle", "lemma_2_3", seed=14, threshold=0.01)
+def check_lemma_2_3_small_angle(cfg, rng):
     """Visual angle of a short segment shrinks monotonically with its length."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 14)
     pool = cfg.count(2_000, 20)
     s_grid = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1])
 
@@ -614,22 +607,65 @@ def check_lemma_2_3_small_angle(cfg: VerifyConfig) -> CheckResult:
     ang = sampler.run(draw)
     sups = np.max(ang, axis=0, initial=0.0)
     mono_violation = float(np.max(np.maximum(sups[:-1] - sups[1:], 0.0)))
-    ok = mono_violation <= 1e-12 and sups[0] < 0.01
-    return CheckResult("lemma_2_3_small_angle", "lemma_2_3", sampler.made, float(sups[0]),
-                       0.01, ok, el(),
-                       detail={"sup_by_scale": dict(zip(map(float, s_grid), map(float, sups))),
-                               "monotonicity_violation": mono_violation,
-                               **sampler.detail()})
+    return (sampler.made, float(sups[0]), mono_violation <= 1e-12,
+            {"sup_by_scale": dict(zip(map(float, s_grid), map(float, sups))),
+             "monotonicity_violation": mono_violation, **sampler.detail()})
 
 
-def check_quasicenter_uniqueness(cfg: VerifyConfig) -> CheckResult:
-    el = _timer()
-    rng = rng_from(cfg.seed + 15)
+def _obtuse_hausdorff_sup(coords, flags):
+    """Hausdorff clause of lemma 2.4 over triangles (x, y, z) at curvature -1.
+
+    The larger of the sup over the far side yz of the distance to the nearer
+    leg (that side's gap in the thinness crossing search) and the sup over
+    the legs xy and zx of the distance to yz.  Distance to the convex side yz
+    is convex along a leg, so each leg's sup sits at one of its window ends.
+    """
+    m, d, lo, hi = sides = coarse._prepare_side_data(coords, flags, 1.0, coarse.R_TRUNC)
+    leg_ends = _geodesic_point_raw(m[:, [0, 0, 2, 2]], d[:, [0, 0, 2, 2]],
+                                   np.stack([lo[:, 0], hi[:, 0], lo[:, 2], hi[:, 2]], 1), 1.0)
+    to_far = coarse._window_dist(leg_ends, m[:, 1:2], d[:, 1:2], np.tanh(0.5 * lo[:, 1:2]),
+                                 np.tanh(0.5 * hi[:, 1:2]), 1.0)
+    return float(max(coarse._side_gaps(*sides, 1.0)[:, 1].max(), to_far.max()))
+
+
+@_check("lemma_2_4_bound", "lemma_2_4", seed=11, threshold=OBTUSE_THR)
+def check_lemma_2_4_bound(cfg, rng):
+    """Obtuse-or-right vertex: distance to the far side is uniformly small,
+    with the symmetric ideal right angle as the extreme case."""
+    total = cfg.count(10_000, 30)
+
+    def draw(count):
+        coords, flags, ok = _admissible_angle_config(rng, count, np.pi / 2.0)
+        same = _coincident(coords, flags, 1, 2)
+        x = coords[:, 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m, d = _arc_frames_raw(*coarse._batch_side_endpoints(
+                coords[:, 1], flags[:, 1], coords[:, 2], flags[:, 2]))
+            dist = _dist_raw(1.0, x, coarse._project_raw(x, m, d, 1.0))
+        return dist, [("degenerate_frame", ~ok), ("geometry", same)]
+
+    samples, worst, full, detail = _sampled_max(total, draw)
+    # symmetric ideal attainment
+    e1 = np.array([1.0, 0.0])
+    e2 = np.array([0.0, 1.0])
+    attained = hyp_dist(K1, BallPoint([0.0, 0.0]),
+                        orthogonal_project(BallPoint([0.0, 0.0]),
+                                           geodesic_between(IdealPoint(e1), IdealPoint(e2))))
+    att_err = abs(attained - LN_1_SQRT2)
+    # Hausdorff clause on a smaller sample, in one batch
+    coords, flags, ok = _admissible_angle_config(rng, cfg.count(300, 6), np.pi / 2.0)
+    keep = ok & ~_coincident(coords, flags, 1, 2)
+    hd_worst = _obtuse_hausdorff_sup(coords[keep], flags[keep]) if np.any(keep) else 0.0
+    ok = full and att_err <= 1e-6 and hd_worst <= OBTUSE_THR
+    return (samples, worst, ok,
+            {"attainment_error": att_err, "hausdorff_sup": hd_worst, **detail})
+
+
+@_check("quasicenter_uniqueness", "quasicenter", seed=15, threshold=1e-4)
+def check_quasicenter_uniqueness(cfg, rng):
     trials = cfg.count(50, 5)
-    worst = 0.0
-    made = attempts = 0
-    while made < trials and attempts < 100 * trials:
-        attempts += 1
+
+    def draw(_):
         n = int(rng.integers(2, 4))
         coords, flags = _random_triangles(rng, 1, n, 1.0, ideal_prob=0.3, radius=3.0)
         verts = [IdealPoint(coords[0, j]) if flags[0, j] else BallPoint(coords[0, j])
@@ -638,26 +674,21 @@ def check_quasicenter_uniqueness(cfg: VerifyConfig) -> CheckResult:
             tri = Triangle(*verts)
             w1, _ = quasicenter(tri, K1, seed=1)
             w2, _ = quasicenter(tri, K1, seed=2)
-        except (GeometryError, ConvergenceError):
-            continue
-        worst = max(worst, hyp_dist(K1, w1, w2))
-        made += 1
-    return CheckResult("quasicenter_uniqueness", "quasicenter", made, worst,
-                       1e-4, made == trials and worst < 1e-4, el(),
-                       detail={"attempts": attempts})
+        except tuple(_ERROR_CAUSES) as err:
+            return _one_row(_ERROR_CAUSES.values(), _ERROR_CAUSES[type(err)])
+        return _one_row(_ERROR_CAUSES.values(), value=hyp_dist(K1, w1, w2))
+
+    return _sampled_max(trials, draw)
 
 
-def check_comparison_angles(cfg: VerifyConfig) -> CheckResult:
+@_check("comparison_angles", "comparison_triangles", seed=16, threshold=1e-8)
+def check_comparison_angles(cfg, rng):
     """Measured angles match the same-curvature comparison and are bracketed
     by the reference-curvature comparison; corresponding midpoint distances
     are ordered the same way."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 16)
     trials = cfg.count(200, 6)
-    worst = 0.0
-    made = attempts = 0
-    while made < trials and attempts < 100 * trials:
-        attempts += 1
+
+    def draw(_):
         n = int(rng.integers(2, 4))
         lam = float(rng.choice([1.5, 2.0]))
         k = CurvatureScale(lam)
@@ -665,8 +696,9 @@ def check_comparison_angles(cfg: VerifyConfig) -> CheckResult:
         try:
             tri = Triangle(*(BallPoint(p) for p in pts))
             rep = comparison_report(tri, k)
-        except (GeometryError, ConvergenceError):
-            continue
+        except tuple(_ERROR_CAUSES) as err:
+            return _one_row(_ERROR_CAUSES.values(), _ERROR_CAUSES[type(err)])
+        worst = 0.0
         for meas, clam, cone in zip(rep.angles, rep.comparison_angles_lambda,
                                     rep.comparison_angles_one):
             worst = max(worst, abs(meas - clam))
@@ -674,21 +706,19 @@ def check_comparison_angles(cfg: VerifyConfig) -> CheckResult:
             worst = max(worst, meas - cone)       # inequality (1) upper side
         worst = max(worst, rep.corresponding_dist_lambda - rep.corresponding_dist_actual)
         worst = max(worst, rep.corresponding_dist_actual - rep.corresponding_dist_one)
-        made += 1
-    return CheckResult("comparison_angles", "comparison_triangles", made, worst,
-                       1e-8, made == trials and worst < 1e-8, el(),
-                       detail={"attempts": attempts})
+        return _one_row(_ERROR_CAUSES.values(), value=worst)
+
+    return _sampled_max(trials, draw)
 
 
 # ---------------------------------------------------------------------------
 # visual checks
 # ---------------------------------------------------------------------------
 
-def check_lemma_2_5_bridge(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_2_5_bridge", "lemma_2_5", seed=20, threshold=0.0, direction="measured>thr")
+def check_lemma_2_5_bridge(cfg, rng):
     """Visual distance and visual angle are small together (both directions,
     as positive monotone envelopes)."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 20)
     per = cfg.count(10_000, 100)
     eps_grid = (0.05, 0.15, 0.5, 1.0)
     min_env = np.inf
@@ -702,15 +732,13 @@ def check_lemma_2_5_bridge(cfg: VerifyConfig) -> CheckResult:
             delta1 = float(d[big_angle].min()) if np.any(big_angle) else np.inf
             delta2 = float(a[d >= eps].min()) if np.any(d >= eps) else np.inf
             min_env = min(min_env, delta1, delta2)
-    return CheckResult("lemma_2_5_bridge", "lemma_2_5", per * 2, float(min_env),
-                       0.0, min_env > 0.0, el(), direction="measured>thr")
+    return per * 2, float(min_env)
 
 
-def check_lemma_2_6_proximity(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_2_6_proximity", "lemma_2_6", seed=21, threshold=0.0, direction="measured>thr")
+def check_lemma_2_6_proximity(cfg, rng):
     """Along a ray toward xi, visual separation of (xi, eta) and distance to
     the geodesic p-eta are small together."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 21)
     total = cfg.count(4_000, 50)
     eps_grid = (0.05, 0.15, 0.5)
 
@@ -735,16 +763,14 @@ def check_lemma_2_6_proximity(cfg: VerifyConfig) -> CheckResult:
         sel = arr[:, 0] >= eps
         if np.any(sel):
             min_env = min(min_env, float(arr[sel, 1].min()))
-    return CheckResult("lemma_2_6_proximity", "lemma_2_6", sampler.made, float(min_env),
-                       0.0, sampler.made == total and min_env > 0.0, el(),
-                       direction="measured>thr", detail=sampler.detail())
+    return sampler.made, float(min_env), sampler.made == total, sampler.detail()
 
 
-def check_lemma_2_7_perpendicular(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_2_7_perpendicular", "lemma_2_7", seed=22, threshold=-1e-9,
+        direction="measured>=thr")
+def check_lemma_2_7_perpendicular(cfg, rng):
     """Admissible near pairs see the ideal point nearly perpendicularly:
     sin(angle) >= 1 / cosh(lam d(x, y))."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 22)
     total = cfg.count(4_000, 50)
 
     def draw(count):
@@ -766,15 +792,13 @@ def check_lemma_2_7_perpendicular(cfg: VerifyConfig) -> CheckResult:
     sampler = _Sampler(total)
     margin = sampler.run(draw)
     worst = float(np.min(margin, initial=np.inf))
-    return CheckResult("lemma_2_7_perpendicular", "lemma_2_7", sampler.made, worst,
-                       -1e-9, sampler.made == total and worst >= -1e-9, el(),
-                       direction="measured>=thr", detail=sampler.detail())
+    return sampler.made, worst, sampler.made == total, sampler.detail()
 
 
-def check_qs_envelope(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_3_1_qs_envelope", "lemma_3_1", seed=23, threshold=0.0,
+        direction="measured>=thr")
+def check_qs_envelope(cfg, rng):
     """Fitted distortion-envelope exponent respects the declared constants."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 23)
     triples = cfg.count(20_000, 500)
     margin = np.inf
     detail = {}
@@ -794,18 +818,15 @@ def check_qs_envelope(cfg: VerifyConfig) -> CheckResult:
             margin = min(margin, cloud.alpha - floor)
             detail[f"n{n}:{h.label()}"] = {"alpha": round(cloud.alpha, 4),
                                            "coeff": round(cloud.coeff, 4)}
-    return CheckResult("lemma_3_1_qs_envelope", "lemma_3_1", triples, float(margin),
-                       0.0, margin >= 0.0, el(), direction="measured>=thr",
-                       detail=detail)
+    return triples, float(margin), True, detail
 
 
 # ---------------------------------------------------------------------------
 # extension checks
 # ---------------------------------------------------------------------------
 
-def check_extension_identity(cfg: VerifyConfig) -> CheckResult:
-    el = _timer()
-    rng = rng_from(cfg.seed + 30)
+@_check("extension_identity_law", "extension_construction", seed=30, threshold=1e-9)
+def check_extension_identity(cfg, rng):
     per_dim = cfg.count(1_000, 12)
     worst = 0.0
     for n in (2, 3):
@@ -814,13 +835,11 @@ def check_extension_identity(cfg: VerifyConfig) -> CheckResult:
         pts = sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0)
         image = extension._extend_batch(h, ext, pts).image
         worst = max(worst, _dist_raw(1.0, image, pts).max())
-    return CheckResult("extension_identity_law", "extension_construction",
-                       2 * per_dim, float(worst), 1e-9, worst < 1e-9, el())
+    return 2 * per_dim, float(worst)
 
 
-def check_extension_isometry(cfg: VerifyConfig) -> CheckResult:
-    el = _timer()
-    rng = rng_from(cfg.seed + 31)
+@_check("extension_isometry_law", "extension_construction", seed=31, threshold=1e-5)
+def check_extension_isometry(cfg, rng):
     per_dim = cfg.count(1_000, 12)
     worst = 0.0
     for n in (2, 3):
@@ -831,14 +850,12 @@ def check_extension_isometry(cfg: VerifyConfig) -> CheckResult:
         pts = sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0)
         image = extension._extend_batch(h, ext, pts).image
         worst = max(worst, _dist_raw(1.0, image, iso.apply_interior_raw(pts)).max())
-    return CheckResult("extension_isometry_law", "extension_construction",
-                       2 * per_dim, float(worst), 1e-5, worst < 1e-5, el())
+    return 2 * per_dim, float(worst)
 
 
-def check_visual_band_source(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_3_2_visual_band", "lemma_3_2", seed=32, threshold=1e-9)
+def check_visual_band_source(cfg, rng):
     """d_x(beta, q_x) is exactly sqrt(2)-1 at the reference curvature."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 32)
     per_dim = cfg.count(300, 6)
     worst = 0.0
     for n in (2, 3):
@@ -847,14 +864,12 @@ def check_visual_band_source(cfg: VerifyConfig) -> CheckResult:
         vals = visual_dist_many(pts[:, None, :], 1.0, extension._equator_raw(pts, p, 64),
                                 extension._q_raw(pts, p)[:, None, :])
         worst = max(worst, float(np.max(np.abs(vals - SQRT2_M1))))
-    return CheckResult("lemma_3_2_visual_band", "lemma_3_2", 2 * per_dim, worst,
-                       1e-9, worst < 1e-9, el())
+    return 2 * per_dim, worst
 
 
-def check_image_band(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_3_3_image_band", "lemma_3_3", seed=33, threshold=0.0, direction="measured>thr")
+def check_image_band(cfg, rng):
     """Image-side visual separations d_x'(h q_x, h beta) stay in (0, 1)."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 33)
     per_map = cfg.count(100, 4)
     lo, hi = np.inf, -np.inf
     detail = {}
@@ -867,17 +882,13 @@ def check_image_band(cfg: VerifyConfig) -> CheckResult:
             hi = max(hi, rep.image_max)
             detail[f"n{n}:{h.label()}"] = {"min": round(rep.image_min, 6),
                                            "max": round(rep.image_max, 6)}
-    ok = lo > 0.0 and hi < 1.0
-    return CheckResult("lemma_3_3_image_band", "lemma_3_3", per_map * 10, float(lo),
-                       0.0, ok, el(), direction="measured>thr",
-                       detail={"image_max": float(hi), **detail})
+    return per_map * 10, float(lo), hi < 1.0, {"image_max": float(hi), **detail}
 
 
-def check_span_bound(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_3_4_span", "lemma_3_4", seed=34, threshold=0.2)
+def check_span_bound(cfg, rng):
     """Projected equator span has a finite sup that saturates as the sampled
     ball grows from radius 4 to 6 (nested samples)."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 34)
     per_ball = cfg.count(1_000, 12)
     worst_rel = 0.0
     detail = {}
@@ -892,32 +903,27 @@ def check_span_bound(cfg: VerifyConfig) -> CheckResult:
         rel = 0.0 if sup6 < 1e-6 else (sup6 - sup4) / sup6
         worst_rel = max(worst_rel, rel)
         detail[h.label()] = {"sup_r4": float(sup4), "sup_r6": float(sup6)}
-    return CheckResult("lemma_3_4_span", "lemma_3_4", per_ball * 2, worst_rel,
-                       0.2, worst_rel <= 0.2, el(), detail=detail)
+    return per_ball * 2, worst_rel, True, detail
 
 
-def check_uniform_continuity(cfg: VerifyConfig) -> CheckResult:
+@_check("uniform_continuity", "forward_modulus", seed=None, threshold=1e-2)
+def check_uniform_continuity(cfg, rng):
     """Forward modulus of the warp extension decays below 1e-2 at eps 1e-3."""
-    el = _timer()
     h = angle_warp(0.2, 1, 2)
     ext = ExtensionConfig(p=_ref_ideal(2))
     grid = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1]
     rows = continuity_modulus(h, ext, 5.0, grid,
                               n_base=cfg.count(24, 4), n_dirs=cfg.count(8, 3),
                               seed=cfg.seed + 35)
-    omega_small = rows[0][1]
     mono = all(rows[i][1] <= rows[i + 1][1] + 1e-15 for i in range(len(rows) - 1))
-    ok = omega_small < 1e-2 and mono
-    return CheckResult("uniform_continuity", "forward_modulus",
-                       cfg.count(24, 4) * cfg.count(8, 3) * len(grid),
-                       float(omega_small), 1e-2, ok, el(),
-                       detail={"rows": [[round(v, 6) for v in r] for r in rows]})
+    return (cfg.count(24, 4) * cfg.count(8, 3) * len(grid), float(rows[0][1]), mono,
+            {"rows": [[round(v, 6) for v in r] for r in rows]})
 
 
-def check_inverse_gap(cfg: VerifyConfig) -> CheckResult:
+@_check("prop_5_1_gap", "prop_5_1", seed=37, threshold=0.0, direction="measured>thr")
+def check_inverse_gap(cfg, rng):
     """Sphere images keep a positive gap; points far apart on a common ray
     have far images."""
-    el = _timer()
     h = angle_warp(0.2, 1, 2)
     ext = ExtensionConfig(p=_ref_ideal(2))
     grid = [1e-3, 1e-2, 1e-1, 3e-1]
@@ -925,34 +931,32 @@ def check_inverse_gap(cfg: VerifyConfig) -> CheckResult:
                               n_base=cfg.count(16, 4), n_dirs=cfg.count(8, 3),
                               seed=cfg.seed + 36)
     min_delta = min(r[2] for r in rows)
-    rng = rng_from(cfg.seed + 37)
     trials = cfg.count(1_000, 12)
-    pairs = []
-    made = attempts = 0
-    while made < trials and attempts < 100 * trials:
-        attempts += 1
+    causes = ("close_endpoints",)
+
+    def draw(_):
         q = sample_boundary(rng, 1, 2)[0]
         if np.linalg.norm(q - ext.p.direction) < 1e-3:
-            continue
+            return _one_row(causes, "close_endpoints", np.zeros((2, 2)))
         g = geodesic_between(ext.p, IdealPoint(q), K1)
         t0 = float(rng.uniform(-3.0, 3.0))
         gap = float(rng.uniform(0.5, 2.0))
-        pairs.append(g.point_at_raw(np.array([t0, t0 + gap])))
-        made += 1
-    imgs = extension._extend_batch(h, ext, np.reshape(pairs, (-1, 2))).image.reshape(-1, 2, 2)
+        return _one_row(causes, value=g.point_at_raw(np.array([t0, t0 + gap])))
+
+    sampler = _Sampler(trials)
+    pairs = sampler.run(draw)
+    imgs = extension._extend_batch(h, ext, pairs.reshape(-1, 2)).image.reshape(-1, 2, 2)
     ray_gap = float(np.min(_dist_raw(1.0, imgs[:, 0], imgs[:, 1]), initial=np.inf))
-    measured = float(min(min_delta, ray_gap))
-    return CheckResult("prop_5_1_gap", "prop_5_1", made, measured, 0.0,
-                       made == trials and measured > 0.0, el(), direction="measured>thr",
-                       detail={"min_sphere_gap": float(min_delta),
-                               "min_ray_gap": float(ray_gap), "attempts": attempts})
+    return (sampler.made, float(min(min_delta, ray_gap)), sampler.made == trials,
+            {"min_sphere_gap": float(min_delta), "min_ray_gap": float(ray_gap),
+             **sampler.detail()})
 
 
-def check_extension_injectivity(cfg: VerifyConfig) -> CheckResult:
+@_check("extension_injectivity", "extension_construction", seed=38, threshold=1e-8,
+        direction="measured>=thr")
+def check_extension_injectivity(cfg, rng):
     """Distinct grid points keep distinct images; image order along every
     reference ray matches the source order."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 38)
     count = cfg.count(300, 10)
     h = angle_warp(0.2, 1, 2)
     ext = ExtensionConfig(p=_ref_ideal(2))
@@ -963,35 +967,32 @@ def check_extension_injectivity(cfg: VerifyConfig) -> CheckResult:
     ok_pairs = src >= 1e-3
     min_img = float(np.min(np.where(ok_pairs, dst, np.inf)))
     trials = cfg.count(1_000, 12)
-    pairs = []
-    made = attempts = 0
-    while made < trials and attempts < 100 * trials:
-        attempts += 1
+    causes = ("close_endpoints", "close_params")
+
+    def draw(_):
         q = sample_boundary(rng, 1, 2)[0]
         if np.linalg.norm(q - ext.p.direction) < 1e-3:
-            continue
+            return _one_row(causes, "close_endpoints", np.zeros((2, 2)))
         g = geodesic_between(ext.p, IdealPoint(q), K1)
         t1, t2 = np.sort(rng.uniform(-4.0, 4.0, 2))
         if t2 - t1 < 1e-3:
-            continue
-        pairs.append(g.point_at_raw(np.array([t1, t2])))
-        made += 1
+            return _one_row(causes, "close_params", np.zeros((2, 2)))
+        return _one_row(causes, value=g.point_at_raw(np.array([t1, t2])))
+
+    sampler = _Sampler(trials)
+    pairs = sampler.run(draw)
     # larger source parameter lies closer to q = far endpoint, so its image
     # parameter t_x (measured toward the image of p) must be smaller
-    t_x = extension._extend_batch(h, ext, np.reshape(pairs, (-1, 2))).t_max.reshape(-1, 2)
+    t_x = extension._extend_batch(h, ext, pairs.reshape(-1, 2)).t_max.reshape(-1, 2)
     violations = int(np.sum(~(t_x[:, 1] < t_x[:, 0])))
-    ok = made == trials and min_img >= 1e-8 and violations == 0
-    return CheckResult("extension_injectivity", "extension_construction",
-                       count + made, min_img, 1e-8, ok, el(),
-                       direction="measured>=thr",
-                       detail={"ray_order_violations": violations, "attempts": attempts})
+    return (count + sampler.made, min_img, sampler.made == trials and violations == 0,
+            {"ray_order_violations": violations, **sampler.detail()})
 
 
-def check_equivariance(cfg: VerifyConfig) -> CheckResult:
+@_check("equivariance", "extension_construction", seed=39, threshold=1e-6)
+def check_equivariance(cfg, rng):
     """Post-composing with a target isometry moves the extension by that
     isometry; pre-composing with a source isometry relocates it."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 39)
     per_map = cfg.count(40, 4)
     worst = 0.0
     for n in (2, 3):
@@ -1011,15 +1012,13 @@ def check_equivariance(cfg: VerifyConfig) -> CheckResult:
                 pre, pre_cfg, g1.inverse().apply_interior_raw(pts)).image
             worst = max(worst, _dist_raw(1.0, post_img, g2.apply_interior_raw(base)).max(),
                         _dist_raw(1.0, pre_img, base).max())
-    return CheckResult("equivariance", "extension_construction", per_map * 8,
-                       float(worst), 1e-6, worst < 1e-6, el())
+    return per_map * 8, float(worst)
 
 
-def check_equator_planar_match(cfg: VerifyConfig) -> CheckResult:
+@_check("equator_planar_match", "extension_construction", seed=40, threshold=1e-4)
+def check_equator_planar_match(cfg, rng):
     """For plane-preserving maps the sampled 3d extension agrees with the
     exact planar one."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 40)
     count = cfg.count(60, 6)
     worst = 0.0
     iso2 = translation_along_first_axis(0.8, 2)
@@ -1037,16 +1036,14 @@ def check_equator_planar_match(cfg: VerifyConfig) -> CheckResult:
         f2 = extension._extend_batch(h2, cfg2, pts).image
         f3 = extension._extend_batch(h3, cfg3, np.hstack([pts, flat])).image
         worst = max(worst, _dist_raw(1.0, f3, np.hstack([f2, flat])).max())
-    return CheckResult("equator_planar_match", "extension_construction",
-                       count * 3, float(worst), 1e-4, worst < 1e-4, el())
+    return count * 3, float(worst)
 
 
-def check_bounded_distance(cfg: VerifyConfig) -> CheckResult:
+@_check("bounded_distance", "bounded_distance", seed=41, threshold=0.10)
+def check_bounded_distance(cfg, rng):
     """The extension stays at bounded distance from a companion interior
     quasiisometry: saturating sup for the warp pair, tight bounds for
     isometries and jittered isometries."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 41)
     count = cfg.count(400, 8)
     ext = ExtensionConfig(p=_ref_ideal(2))
     f_warp = polar_warp(0.2, 1, 2)
@@ -1061,17 +1058,14 @@ def check_bounded_distance(cfg: VerifyConfig) -> CheckResult:
     sup_iso = compare_to_interior(mobius_map(iso), ext, pts)
     f_jit = jittered_isometry(iso, 0.3)
     sup_jit = compare_to_interior(f_jit, ext, pts, h=mobius_boundary(iso))
-    ok = rel < 0.10 and sup_iso < 1e-5 and sup_jit <= 0.3 + 1e-5
-    return CheckResult("bounded_distance", "bounded_distance", count * 2, rel,
-                       0.10, ok, el(),
-                       detail={"sup_r3": float(sup3), "sup_r6": float(sup6),
-                               "sup_isometry": float(sup_iso),
-                               "sup_jitter": float(sup_jit)})
+    return (count * 2, rel, sup_iso < 1e-5 and sup_jit <= 0.3 + 1e-5,
+            {"sup_r3": float(sup3), "sup_r6": float(sup6),
+             "sup_isometry": float(sup_iso), "sup_jitter": float(sup_jit)})
 
 
-def check_basepoint_sensitivity(cfg: VerifyConfig) -> CheckResult:
-    el = _timer()
-    rng = rng_from(cfg.seed + 42)
+@_check("basepoint_sensitivity", "extension_construction", seed=42, threshold=float("inf"),
+        direction="finite")
+def check_basepoint_sensitivity(cfg, rng):
     count = cfg.count(100, 6)
     pts = sample_ball_hyperbolic(rng, count, 2, 1.0, 3.0)
     p1 = _ref_ideal(2)
@@ -1080,12 +1074,8 @@ def check_basepoint_sensitivity(cfg: VerifyConfig) -> CheckResult:
     iso = translation_along_first_axis(1.0, 2)
     s_mob = extension.basepoint_sensitivity(mobius_boundary(iso), p1, p2, pts)
     s_warp = extension.basepoint_sensitivity(angle_warp(0.2, 1, 2), p1, p2, pts)
-    ok = s_id < 1e-9 and s_mob < 1e-5 and np.isfinite(s_warp)
-    return CheckResult("basepoint_sensitivity", "extension_construction", count,
-                       float(s_warp), float("inf"), ok, el(),
-                       direction="finite",
-                       detail={"identity": float(s_id), "mobius": float(s_mob),
-                               "warp": float(s_warp)})
+    return (count, float(s_warp), s_id < 1e-9 and s_mob < 1e-5,
+            {"identity": float(s_id), "mobius": float(s_mob), "warp": float(s_warp)})
 
 
 # ---------------------------------------------------------------------------
@@ -1100,11 +1090,10 @@ def _all_graphs_up_to(nmax):
             yield nets.Graph.from_edges(verts, edges)
 
 
-def check_coloring(cfg: VerifyConfig) -> CheckResult:
+@_check("lemma_6_1_coloring", "lemma_6_1", seed=50, threshold=0.0)
+def check_coloring(cfg, rng):
     """First-fit colorings are proper with at most max-degree + 1 colors:
     exhaustively on tiny graphs, then on random bounded-degree graphs."""
-    el = _timer()
-    rng = rng_from(cfg.seed + 50)
     worst_excess = -np.inf
     exhaustive_n = 6 if cfg.scale >= 1.0 else 5
     checked = 0
@@ -1135,14 +1124,13 @@ def check_coloring(cfg: VerifyConfig) -> CheckResult:
             worst_excess = np.inf
         worst_excess = max(worst_excess, c.n_colors - (g.max_degree + 1))
         checked += 1
-    return CheckResult("lemma_6_1_coloring", "lemma_6_1", checked,
-                       float(worst_excess), 0.0, worst_excess <= 0.0, el(),
-                       detail={"exhaustive_up_to": exhaustive_n})
+    return checked, float(worst_excess), True, {"exhaustive_up_to": exhaustive_n}
 
 
-def check_incidence(cfg: VerifyConfig) -> CheckResult:
+@_check("incidence_graph", "incidence_graph", seed=None, threshold=6.0,
+        direction="measured==thr")
+def check_incidence(cfg, rng):
     """Tangent hyperbolic disks: the hexagonal flower has center degree 6."""
-    el = _timer()
     r = 0.4
     theta = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     ring = np.tanh(r / 2.0) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -1158,16 +1146,13 @@ def check_incidence(cfg: VerifyConfig) -> CheckResult:
     center_set = np.vstack([ring] + contact)
     g = nets.incidence_graph([center_set] + petals, 1e-6, K1)
     degs = [len(a) for a in g.adjacency]
-    ok = degs[0] == 6 and all(d == 1 for d in degs[1:])
-    return CheckResult("incidence_graph", "incidence_graph", 7, float(degs[0]),
-                       6.0, ok, el(), direction="measured==thr",
-                       detail={"degrees": degs})
+    return 7, float(degs[0]), all(d == 1 for d in degs[1:]), {"degrees": degs}
 
 
-def check_net(cfg: VerifyConfig) -> CheckResult:
+@_check("separated_net", "separated_net", seed=None, threshold=0.5, direction="measured>=thr")
+def check_net(cfg, rng):
     """Greedy nets satisfy both net inequalities against their sample and
     are deterministic under the seed."""
-    el = _timer()
     sample_count = cfg.count(4_096, 128)
     net = nets.greedy_net(3.0, 0.5, n=2, seed=cfg.seed, sample_count=sample_count)
     d = _dist_raw(1.0, net.points[:, None, :], net.points[None, :, :])
@@ -1177,17 +1162,16 @@ def check_net(cfg: VerifyConfig) -> CheckResult:
     deterministic = np.array_equal(net.points, again.points)
     singleton = nets.greedy_net(2.0, 50.0, n=2, seed=cfg.seed,
                                 sample_count=max(sample_count // 4, 64))
-    ok = (min_sep >= 0.5 and net.covering_radius <= 0.5 + 0.2
-          and deterministic and singleton.points.shape[0] == 1)
-    return CheckResult("separated_net", "separated_net", sample_count, min_sep,
-                       0.5, ok, el(), direction="measured>=thr",
-                       detail={"covering_radius": net.covering_radius,
-                               "net_size": int(net.points.shape[0])})
+    ok = (net.covering_radius <= 0.5 + 0.2 and deterministic
+          and singleton.points.shape[0] == 1)
+    return (sample_count, min_sep, ok,
+            {"covering_radius": net.covering_radius, "net_size": int(net.points.shape[0])})
 
 
-def check_net_bilipschitz(cfg: VerifyConfig) -> CheckResult:
+@_check("net_bilipschitz", "net_restriction", seed=None, threshold=0.7,
+        direction="measured>=thr")
+def check_net_bilipschitz(cfg, rng):
     """Quasiisometries restrict to bilipschitz maps on coarse nets."""
-    el = _timer()
     sample_count = cfg.count(4_096, 128)
     iso = translation_along_first_axis(0.7, 2)
     net = nets.greedy_net(4.0, 2.0, n=2, seed=cfg.seed + 1, sample_count=sample_count)
@@ -1198,54 +1182,14 @@ def check_net_bilipschitz(cfg: VerifyConfig) -> CheckResult:
     lo_w, hi_w = nets.net_bilipschitz_estimate(f_warp, net)
     # net separation 2 with displacement <= 0.3 forces ratios into [0.7, 1.3]
     ok = (abs(lo_i - 1.0) < 1e-9 and abs(hi_i - 1.0) < 1e-9
-          and lo_j >= 0.7 - 1e-9 and hi_j <= 1.3 + 1e-9
-          and lo_w > 0.0 and np.isfinite(hi_w))
-    return CheckResult("net_bilipschitz", "net_restriction", int(net.points.shape[0]),
-                       float(lo_j), 0.7, ok, el(), direction="measured>=thr",
-                       detail={"isometry": [lo_i, hi_i], "jitter": [lo_j, hi_j],
-                               "warp": [lo_w, hi_w]})
+          and hi_j <= 1.3 + 1e-9 and lo_w > 0.0 and np.isfinite(hi_w))
+    return (int(net.points.shape[0]), float(lo_j), ok,
+            {"isometry": [lo_i, hi_i], "jitter": [lo_j, hi_j], "warp": [lo_w, hi_w]})
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
-
-ALL_CHECKS = [
-    ("trig_identity", check_trig_identity),
-    ("metric_axioms", check_metric_axioms),
-    ("lambda_scaling", check_lambda_scaling),
-    ("convexity", check_convexity),
-    ("exp_log_roundtrip", check_exp_log_roundtrip),
-    ("ray_limit_homeo", check_ray_limit_homeo),
-    ("mobius_isometry", check_mobius_isometry),
-    ("delta_log3", check_delta_log3),
-    ("lemma_2_1_gap", check_lemma_2_1_gap),
-    ("lemma_2_2_gap", check_lemma_2_2_gap),
-    ("lemma_2_3_small_angle", check_lemma_2_3_small_angle),
-    ("lemma_2_4_bound", check_lemma_2_4_bound),
-    ("quasicenter_uniqueness", check_quasicenter_uniqueness),
-    ("comparison_angles", check_comparison_angles),
-    ("lemma_2_5_bridge", check_lemma_2_5_bridge),
-    ("lemma_2_6_proximity", check_lemma_2_6_proximity),
-    ("lemma_2_7_perpendicular", check_lemma_2_7_perpendicular),
-    ("lemma_3_1_qs_envelope", check_qs_envelope),
-    ("extension_identity_law", check_extension_identity),
-    ("extension_isometry_law", check_extension_isometry),
-    ("lemma_3_2_visual_band", check_visual_band_source),
-    ("lemma_3_3_image_band", check_image_band),
-    ("lemma_3_4_span", check_span_bound),
-    ("uniform_continuity", check_uniform_continuity),
-    ("prop_5_1_gap", check_inverse_gap),
-    ("extension_injectivity", check_extension_injectivity),
-    ("equivariance", check_equivariance),
-    ("equator_planar_match", check_equator_planar_match),
-    ("bounded_distance", check_bounded_distance),
-    ("basepoint_sensitivity", check_basepoint_sensitivity),
-    ("lemma_6_1_coloring", check_coloring),
-    ("incidence_graph", check_incidence),
-    ("separated_net", check_net),
-    ("net_bilipschitz", check_net_bilipschitz),
-]
 
 CHECK_IDS = [name for name, _ in ALL_CHECKS]
 
@@ -1255,12 +1199,7 @@ def run_checks(cfg: VerifyConfig, only=None) -> list:
         unknown = set(only) - set(CHECK_IDS)
         if unknown:
             raise KeyError(f"unknown check ids: {sorted(unknown)}")
-    results = []
-    for name, fn in ALL_CHECKS:
-        if only is not None and name not in only:
-            continue
-        results.append(fn(cfg))
-    return results
+    return [fn(cfg) for name, fn in ALL_CHECKS if only is None or name in only]
 
 
 def report_dict(results, cfg: VerifyConfig) -> dict:

@@ -1,9 +1,11 @@
-"""Check registry tests: rejection loops end and fail when every trial is
-rejected, only geometric rejections count as rejected draws, and each row
-says how it got its number."""
+"""Check registry tests: the harness gates each direction as its row says,
+rejection loops end and fail when every trial is rejected, only geometric
+rejections count as rejected draws, and each row says how it got its
+number."""
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,18 @@ class TestBoundedLoops:
         monkeypatch.setattr(V, "_angle_raw", lambda x, y, z: np.zeros(len(x)))
         run_starved(V.check_lemma_2_1_gap, CFG.count(5_000, 30))
 
+    def test_comparison_angles(self, monkeypatch):
+        monkeypatch.setattr(V, "comparison_report", always_raise)
+        run_starved(V.check_comparison_angles, CFG.count(200, 6))
+
+    def test_prop_5_1_gap(self, monkeypatch):
+        # every drawn q lands on the reference point p = (-1, 0)
+        def at_p(rng, count, n):
+            return np.tile(V._ref_ideal(n).direction, (count, 1))
+
+        monkeypatch.setattr(V, "sample_boundary", at_p)
+        run_starved(V.check_inverse_gap, CFG.count(1_000, 12))
+
 
 class TestRejectionCauses:
     def test_programming_error_is_raised(self, monkeypatch):
@@ -55,6 +69,51 @@ class TestRejectionCauses:
         monkeypatch.setattr(V, "quasicenter", type_error)
         with pytest.raises(TypeError):
             V.check_quasicenter_uniqueness(CFG)
+
+
+class TestGate:
+    @staticmethod
+    def probe(monkeypatch, direction, measured, threshold, ok=True):
+        """The row of a one-off check registered through the harness."""
+        monkeypatch.setattr(V, "ALL_CHECKS", [])
+
+        @V._check("probe", "probe_anchor", seed=3, threshold=threshold, direction=direction)
+        def check_probe(cfg, rng):
+            return 5, measured, ok, {"draw": float(rng.uniform())}
+
+        assert V.ALL_CHECKS == [("probe", check_probe)]
+        return check_probe(CFG)
+
+    @pytest.mark.parametrize("direction, measured, threshold, passed", [
+        ("max<=thr", 0.0, 0.0, True),
+        ("max<=thr", np.nextafter(0.0, 1.0), 0.0, False),
+        ("max<=thr", np.nan, 0.0, False),
+        ("measured>thr", 0.0, 0.0, False),
+        ("measured>thr", np.nextafter(0.0, 1.0), 0.0, True),
+        ("measured>=thr", 0.7, 0.7, True),
+        ("measured>=thr", np.nextafter(0.7, 0.0), 0.7, False),
+        ("measured==thr", 6.0, 6.0, True),
+        ("measured==thr", np.nextafter(6.0, 7.0), 6.0, False),
+        ("measured==thr", np.nextafter(6.0, 5.0), 6.0, False),
+        ("finite", 1e308, np.inf, True),
+        ("finite", np.inf, np.inf, False),
+        ("finite", -np.inf, np.inf, False),
+        ("finite", np.nan, np.inf, False),
+    ])
+    def test_direction_gate_at_its_boundary(self, monkeypatch, direction, measured,
+                                            threshold, passed):
+        result = self.probe(monkeypatch, direction, measured, threshold)
+        assert result.passed is passed
+        row = result.row()
+        assert (row["id"], row["anchor"], row["samples"]) == ("probe", "probe_anchor", 5)
+        assert (row["direction"], row["threshold"]) == (direction, threshold)
+
+    def test_side_conditions_are_anded(self, monkeypatch):
+        assert not self.probe(monkeypatch, "max<=thr", 0.0, 1.0, ok=False).passed
+
+    def test_rng_is_seeded_at_the_declared_offset(self, monkeypatch):
+        result = self.probe(monkeypatch, "max<=thr", 0.0, 1.0)
+        assert result.detail == {"draw": float(V.rng_from(CFG.seed + 3).uniform())}
 
 
 class TestReportRows:
@@ -90,17 +149,39 @@ class TestBlockSampler:
 
 REWRITTEN = ("trig_identity", "lemma_2_1_gap", "lemma_2_2_gap", "lemma_2_3_small_angle",
              "lemma_2_4_bound", "lemma_2_6_proximity", "lemma_2_7_perpendicular")
+# checks drawing one row per _Sampler call
+ONE_ROW = ("convexity", "exp_log_roundtrip", "ray_limit_homeo", "quasicenter_uniqueness",
+           "comparison_angles", "prop_5_1_gap", "extension_injectivity")
 
 
 class TestSamplingReport:
-    @pytest.mark.parametrize("check_id", REWRITTEN)
+    @pytest.mark.parametrize("check_id", REWRITTEN + ONE_ROW)
     def test_attempts_and_rejections_add_up_and_repeat(self, check_id):
         check = dict(V.ALL_CHECKS)[check_id]
         first, second = check(CFG), check(CFG)
         detail = first.detail
         assert json.dumps(detail, sort_keys=True) == json.dumps(second.detail, sort_keys=True)
+        assert type(detail["attempts"]) is int
         assert all(type(c) is int for c in detail["rejections"].values())
-        assert detail["attempts"] == first.samples + sum(detail["rejections"].values())
+        # extension_injectivity also counts its grid points as samples
+        made = first.samples - (CFG.count(300, 10) if check_id == "extension_injectivity" else 0)
+        assert detail["attempts"] == made + sum(detail["rejections"].values())
+
+    def test_convexity_evaluates_every_sample(self, monkeypatch):
+        # at seed 7, scale 1 one draw has close endpoints; its replacement
+        # is drawn and evaluated, three geodesics per evaluated row
+        calls = []
+        geodesic_between = V.geodesic_between
+
+        def counted(*args):
+            calls.append(1)
+            return geodesic_between(*args)
+
+        monkeypatch.setattr(V, "geodesic_between", counted)
+        result = V.check_convexity(V.VerifyConfig(seed=7, scale=1.0))
+        assert result.samples == 800
+        assert result.detail == {"attempts": 801, "rejections": {"close_endpoints": 1}}
+        assert len(calls) == 3 * 800
 
 
 class TestRandomTriangles:
@@ -117,3 +198,20 @@ class TestRandomTriangles:
                     same_kind = flags[:, i] == flags[:, j]
                     assert sep[both_ideal].min(initial=1.0) >= 3e-3
                     assert sep[same_kind].min(initial=1.0) >= 1e-6
+
+
+class TestRegistry:
+    def test_rows_match_the_benchmark_expectation(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "verify_expect.json"
+        with open(path) as fh:
+            expect = json.load(fh)
+        cfg = V.VerifyConfig(seed=expect["seed"], scale=expect["scale"])
+        assert (cfg.seed, cfg.scale) == (7, 0.05)
+        rows = [r.row() for r in V.run_checks(cfg)]
+        assert V.CHECK_IDS == [e["id"] for e in expect["rows"]]
+        for row, exp in zip(rows, expect["rows"], strict=True):
+            assert {k: row[k] for k in exp} == exp
+        assert [r["id"] for r in rows if not r["pass"]] == []
+        # max<=thr passes at equality
+        coloring = rows[V.CHECK_IDS.index("lemma_6_1_coloring")]
+        assert coloring["measured"] == coloring["threshold"] == 0.0
