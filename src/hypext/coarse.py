@@ -10,7 +10,8 @@ windows, with ideal vertices truncated alike, on such frames.  Distance to a
 side is exact (clamp the foot parameter to the window), and everything
 vectorizes over rows.  Thinness and quasicenters measure the same windows.
 Thinness is exact: along a side the gap to the other two sides peaks where
-their distances cross, and a lockstep bisection finds that crossing.
+their distances cross, and that crossing is solved in closed form from
+hyperboloid inner products with the sides' ideal ends.
 """
 
 from dataclasses import dataclass
@@ -44,9 +45,6 @@ from .model import (
 # Ideal vertices are cut off at this hyperbolic radius from the triangle's
 # base point; beyond it side-to-side distances move by well under 1e-6.
 R_TRUNC = 20.0
-# Bisection steps of the thinness crossing search: they shrink a window of at
-# most 2 * R_TRUNC = 40 below 1.5e-13, and the gap is 1-Lipschitz along it.
-CROSSING_STEPS = 48
 
 
 def _normalize_rows(v):
@@ -235,17 +233,43 @@ def _window_dist(pts, m, d, s_lo, s_hi, lam):
     return 2.0 * np.arcsinh(np.sqrt(d2 / conf)) / lam
 
 
+def _side_ends(m, d):
+    """Ideal ends (u, v) of the geodesics (m, d), the inverse of
+    model._arc_frames_raw: m is orthogonal to d, u + v = 4 m / (1 + |m|^2)
+    and v - u = 2 (1 - |m|^2) d / (1 + |m|^2)."""
+    m2 = np.sum(m * m, axis=-1, keepdims=True)
+    half_gap = (1.0 - m2) * d
+    return (2.0 * m - half_gap) / (1.0 + m2), (2.0 * m + half_gap) / (1.0 + m2)
+
+
 def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
     """(B, 3) sup over each side of its distance to the nearer other side.
 
     Takes the side data of _prepare_side_data.  Along a side, the distances
     d_A and d_B to the two other sides are convex (CAT(-1)) and each is
     smallest at the vertex it shares with the side, so d_A - d_B is monotone
-    and the largest gap min(d_A, d_B) sits at its sign change, or at a window
-    end when there is none.  All 3B sides bisect on that sign in lockstep.
-    Each gap is the largest one evaluated, a value the side attains, so it
-    exceeds the sup by float64 rounding at most; the final bracket around the
-    crossing is narrower than 1.5e-13.
+    and the largest gap min(d_A, d_B) sits at their crossing, or at a window
+    end when there is none.
+
+    The crossing has a closed form in the hyperboloid model (Ratcliffe,
+    Foundations of Hyperbolic Manifolds, sec. 3.2).  Lift the ideal ends of
+    a side to null vectors U = (1, u), V = (1, v), so -<U, U'> = |u - u'|^2/2;
+    its point at t is Y = (e^-s U + e^s V) / |u - v| with s = lam t.  Against
+    a neighbour X with ends (u', v'), g = -<Y, U'> and h = -<Y, V'> are
+    (a + w b) / (e^s |u - v|) in w = e^(2s), a and b halves of squared
+    chordal distances.  X's point at sigma is at cosh d = (e^-sigma g +
+    e^sigma h) / |u' - v'| from Y, least at the foot e^(2 sigma) = g / h.
+    With the foot clamped to X's window, d_X has three pieces (low end, line,
+    high end), and w |u - v|^2 cosh^2 d_X is a quadratic in w on each.  So
+    d_A = d_B is linear in w for an end against an end and quadratic
+    otherwise: at most 14 roots per side.  Each root, clipped to the window,
+    is scored by that cosh form, and the best is kept.  At it and at both
+    window ends, the gap is the distance (model._dist_raw) from the side's
+    point to the two feet: a value the side attains, to rounding.  The feet
+    come from the same closed form, since a frame translation by an anchor
+    near the sphere (as _window_dist does) can cost 1e-10 there.  cosh
+    resolves a gap d only to about 1e-16 / d, so gaps under about 1e-6 may
+    read low, never high.
     """
     count, _, n = m_all.shape
     # row (b, i) is side i of triangle b; its neighbours are the other two
@@ -254,26 +278,76 @@ def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
     dirs = d_all.reshape(-1, n)
     nbr_m = m_all[:, others].reshape(-1, 2, n)
     nbr_d = d_all[:, others].reshape(-1, 2, n)
-    nbr_s_lo = np.tanh(0.5 * lam * lo_all)[:, others].reshape(-1, 2)
-    nbr_s_hi = np.tanh(0.5 * lam * hi_all)[:, others].reshape(-1, 2)
-
-    def dists(t):
-        pts = _geodesic_point_raw(m, dirs, t, lam)
-        return _window_dist(pts[:, None, :], nbr_m, nbr_d, nbr_s_lo, nbr_s_hi, lam)
-
+    nbr_lo = lo_all[:, others].reshape(-1, 2)
+    nbr_hi = hi_all[:, others].reshape(-1, 2)
     lo = lo_all.reshape(-1)
     hi = hi_all.reshape(-1)
-    d_lo = dists(lo)
-    best = np.maximum(d_lo.min(axis=1), dists(hi).min(axis=1))
-    lo_sign = d_lo[:, 0] > d_lo[:, 1]
-    for _ in range(CROSSING_STEPS):
-        mid = 0.5 * (lo + hi)
-        d = dists(mid)
-        best = np.maximum(best, d.min(axis=1))
-        lo_side = (d[:, 0] > d[:, 1]) == lo_sign
-        lo = np.where(lo_side, mid, lo)
-        hi = np.where(lo_side, hi, mid)
-    return best.reshape(count, 3)
+
+    u_all, v_all = _side_ends(m_all, d_all)
+    u, v = u_all.reshape(-1, 1, n), v_all.reshape(-1, 1, n)
+    nbr_u = u_all[:, others].reshape(-1, 2, n)
+    nbr_v = v_all[:, others].reshape(-1, 2, n)
+
+    def half_sq(x, y):
+        return 0.5 * np.sum((x - y) ** 2, axis=-1)
+
+    # (3B, 2) against neighbours A and B: e^s |u - v| g = a1 + w b1 and
+    # e^s |u - v| h = a2 + w b2; each neighbour's |u' - v'| and window in
+    # z = e^sigma
+    a1, b1 = half_sq(u, nbr_u), half_sq(v, nbr_u)
+    a2, b2 = half_sq(u, nbr_v), half_sq(v, nbr_v)
+    span = np.linalg.norm(nbr_u - nbr_v, axis=-1)
+    span2 = span * span
+    z_lo, z_hi = np.exp(lam * nbr_lo), np.exp(lam * nbr_hi)
+
+    def feet(w):
+        """e^s |u - v| (g, h) at w and e^(2 sigma) at the feet on A and B."""
+        g = a1 + w[..., None] * b1
+        h = a2 + w[..., None] * b2
+        return g, h, np.clip(g / h, z_lo * z_lo, z_hi * z_hi)
+
+    def score(w):
+        """Row-wise e^s |u - v| min(cosh d_A, cosh d_B) at w."""
+        g, h, z2 = feet(w)
+        z = np.sqrt(z2)
+        return np.min((g / z + h * z) / span, axis=1) / np.sqrt(w)
+
+    # e^s |u - v| cosh d_X = (alpha + w beta) / sqrt(w) at X's window ends,
+    # and w |u - v|^2 cosh^2 d_X = c0 + c1 w + c2 w^2 on each of its pieces
+    ends = [((a1 / z + a2 * z) / span, (b1 / z + b2 * z) / span) for z in (z_lo, z_hi)]
+    pieces = [(alpha * alpha, 2.0 * alpha * beta, beta * beta) for alpha, beta in ends]
+    pieces.insert(1, (4.0 * a1 * a2 / span2, 4.0 * (a1 * b2 + a2 * b1) / span2,
+                      4.0 * b1 * b2 / span2))
+
+    def roots():
+        for i, piece_a in enumerate(pieces):
+            for j, piece_b in enumerate(pieces):
+                if i != 1 and j != 1:
+                    (alpha_a, beta_a), (alpha_b, beta_b) = ends[i // 2], ends[j // 2]
+                    yield (alpha_b[:, 1] - alpha_a[:, 0]) / (beta_a[:, 0] - beta_b[:, 1])
+                    continue
+                c0, c1, c2 = (ca[:, 0] - cb[:, 1] for ca, cb in zip(piece_a, piece_b))
+                q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)),
+                                             c1))
+                yield q / c2
+                yield c0 / q
+
+    w_lo, w_hi = np.exp(2.0 * lam * lo), np.exp(2.0 * lam * hi)
+    best_w, best = w_lo, np.full(lo.shape, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for w in roots():
+            # negative, infinite and NaN roots land on a window end
+            w = np.fmin(np.fmax(w, w_lo), w_hi)
+            val = score(w)
+            better = val > best
+            best = np.where(better, val, best)
+            best_w = np.where(better, w, best_w)
+
+    w = np.stack([best_w, w_lo, w_hi])
+    t = np.clip(0.5 * np.log(w) / lam, lo, hi)
+    foot = _geodesic_point_raw(nbr_m, nbr_d, 0.5 * np.log(feet(w)[2]) / lam, lam)
+    gaps = _dist_raw(lam, _geodesic_point_raw(m, dirs, t, lam)[..., None, :], foot)
+    return gaps.min(axis=2).max(axis=0).reshape(count, 3)
 
 
 def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,

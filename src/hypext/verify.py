@@ -264,6 +264,18 @@ def _sampled_max(target, draw):
     return sampler.made, worst, sampler.made == target, sampler.detail()
 
 
+def _max_of(*values):
+    """Largest entry of the scalars and arrays values; NaN when any entry is
+    NaN, so that a NaN statistic fails its gate (Python's max keeps its
+    first argument against a NaN: max(0.0, nan) == 0.0)."""
+    return float(np.max(np.concatenate([np.ravel(v) for v in values])))
+
+
+def _min_of(*values):
+    """Smallest entry of the scalars and arrays values; NaN when any is."""
+    return float(np.min(np.concatenate([np.ravel(v) for v in values])))
+
+
 # Rejection causes of a one-row draw that calls the library, by the error
 # the library raises.
 _ERROR_CAUSES = {GeometryError: "geometry", ConvergenceError: "convergence"}
@@ -296,9 +308,9 @@ def check_trig_identity(cfg, rng):
             return residual, [("geometry", ~np.isfinite(residual)),
                                  ("not_right_angle", ~(np.abs(gamma - np.pi / 2.0) <= 1e-9))]
 
-        residual = sampler.run(draw)
-        worst = max(worst, float(np.max(np.abs(residual), initial=0.0)))
-    return sampler.made, worst, True, sampler.detail()
+        worst = _max_of(worst, np.abs(sampler.run(draw)))
+    # the sampler adds up its three runs, one per lam, of per samples each
+    return sampler.made, worst, sampler.made == per * len(lams), sampler.detail()
 
 
 @_check("metric_axioms", "model_metric", seed=1, threshold=1e-9)
@@ -316,8 +328,7 @@ def check_metric_axioms(cfg, rng):
             dba = _dist_raw(lam, b, a)
             dac = _dist_raw(lam, a, c)
             dcb = _dist_raw(lam, c, b)
-            worst = max(worst, float(np.max(np.abs(dab - dba))))
-            worst = max(worst, float(np.max(dab - (dac + dcb))))
+            worst = _max_of(worst, np.abs(dab - dba), dab - (dac + dcb))
     return total, worst
 
 
@@ -331,7 +342,7 @@ def check_lambda_scaling(cfg, rng):
         b = sample_ball_euclidean(rng, total // 2, n, 0.95)
         base = _dist_raw(1.0, a, b)
         for lam in (1.5, 2.0, 3.0):
-            worst = max(worst, float(np.max(np.abs(_dist_raw(lam, a, b) * lam - base))))
+            worst = _max_of(worst, np.abs(_dist_raw(lam, a, b) * lam - base))
     return total, worst
 
 
@@ -365,7 +376,7 @@ def check_convexity(cfg, rng):
                                  g3.point_at_raw(np.asarray(s0))))
             d1 = float(_dist_raw(lam, g1.point_at_raw(np.asarray(s1)),
                                  g3.point_at_raw(np.asarray(s1))))
-            worst = max(worst, d1 - d0)
+            worst = _max_of(worst, d1 - d0)
         return _one_row(causes, value=worst)
 
     return _sampled_max(trials, draw)
@@ -386,8 +397,9 @@ def check_exp_log_roundtrip(cfg, rng):
             return _one_row(causes, "zero_vector")
         v = TangentVector(x, vec)
         back = log_map(x, exp_map(x, v, k), k)
-        return _one_row(causes, value=max(float(np.linalg.norm(back.vec - v.vec)),
-                                          abs(hyp_dist(k, x, exp_map(x, v, k)) - v.hyp_norm(k))))
+        return _one_row(causes, value=_max_of(np.linalg.norm(back.vec - v.vec),
+                                              abs(hyp_dist(k, x, exp_map(x, v, k))
+                                                  - v.hyp_norm(k))))
 
     return _sampled_max(trials, draw)
 
@@ -411,8 +423,8 @@ def check_ray_limit_homeo(cfg, rng):
         target = sample_boundary(rng, 1, n)[0]
         w = _mobius_add(-x.coords, target)
         again = ray_limit(x, TangentVector(x, w / np.linalg.norm(w)))
-        return _one_row(causes, value=max(collapsed,
-                                          float(np.linalg.norm(again.direction - target))))
+        return _one_row(causes, value=_max_of(collapsed,
+                                              np.linalg.norm(again.direction - target)))
 
     return _sampled_max(trials, draw)
 
@@ -428,10 +440,10 @@ def check_mobius_isometry(cfg, rng):
         iso = _random_isometry(rng, n)
         x = BallPoint(sample_ball_euclidean(rng, 1, n, 0.9)[0])
         y = BallPoint(sample_ball_euclidean(rng, 1, n, 0.9)[0])
-        worst = max(worst, abs(hyp_dist(k, apply_mobius(iso, x), apply_mobius(iso, y))
-                               - hyp_dist(k, x, y)))
+        worst = _max_of(worst, abs(hyp_dist(k, apply_mobius(iso, x), apply_mobius(iso, y))
+                                   - hyp_dist(k, x, y)))
         u = IdealPoint(sample_boundary(rng, 1, n)[0])
-        worst = max(worst, abs(np.linalg.norm(apply_mobius(iso, u).direction) - 1.0))
+        worst = _max_of(worst, abs(np.linalg.norm(apply_mobius(iso, u).direction) - 1.0))
     return trials, worst
 
 
@@ -479,8 +491,7 @@ def check_delta_log3(cfg, rng):
         k = CurvatureScale(lam)
         for n in (2, 3):
             coords, flags = _random_triangles(rng, per, n, lam)
-            vals = thinness_batch(coords, flags, k)
-            worst = max(worst, float(np.max(vals)))
+            worst = _max_of(worst, thinness_batch(coords, flags, k))
     return per * 4, worst
 
 
@@ -607,7 +618,7 @@ def check_lemma_2_3_small_angle(cfg, rng):
     ang = sampler.run(draw)
     sups = np.max(ang, axis=0, initial=0.0)
     mono_violation = float(np.max(np.maximum(sups[:-1] - sups[1:], 0.0)))
-    return (sampler.made, float(sups[0]), mono_violation <= 1e-12,
+    return (sampler.made, float(sups[0]), sampler.made == pool and mono_violation <= 1e-12,
             {"sup_by_scale": dict(zip(map(float, s_grid), map(float, sups))),
              "monotonicity_violation": mono_violation, **sampler.detail()})
 
@@ -625,7 +636,7 @@ def _obtuse_hausdorff_sup(coords, flags):
                                    np.stack([lo[:, 0], hi[:, 0], lo[:, 2], hi[:, 2]], 1), 1.0)
     to_far = coarse._window_dist(leg_ends, m[:, 1:2], d[:, 1:2], np.tanh(0.5 * lo[:, 1:2]),
                                  np.tanh(0.5 * hi[:, 1:2]), 1.0)
-    return float(max(coarse._side_gaps(*sides, 1.0)[:, 1].max(), to_far.max()))
+    return _max_of(coarse._side_gaps(*sides, 1.0)[:, 1], to_far)
 
 
 @_check("lemma_2_4_bound", "lemma_2_4", seed=11, threshold=OBTUSE_THR)
@@ -698,14 +709,13 @@ def check_comparison_angles(cfg, rng):
             rep = comparison_report(tri, k)
         except tuple(_ERROR_CAUSES) as err:
             return _one_row(_ERROR_CAUSES.values(), _ERROR_CAUSES[type(err)])
-        worst = 0.0
-        for meas, clam, cone in zip(rep.angles, rep.comparison_angles_lambda,
-                                    rep.comparison_angles_one):
-            worst = max(worst, abs(meas - clam))
-            worst = max(worst, clam - meas)       # inequality (1) lower side
-            worst = max(worst, meas - cone)       # inequality (1) upper side
-        worst = max(worst, rep.corresponding_dist_lambda - rep.corresponding_dist_actual)
-        worst = max(worst, rep.corresponding_dist_actual - rep.corresponding_dist_one)
+        meas, clam, cone = map(np.array, (rep.angles, rep.comparison_angles_lambda,
+                                          rep.comparison_angles_one))
+        worst = _max_of(np.abs(meas - clam),
+                        clam - meas,       # inequality (1) lower side
+                        meas - cone,       # inequality (1) upper side
+                        rep.corresponding_dist_lambda - rep.corresponding_dist_actual,
+                        rep.corresponding_dist_actual - rep.corresponding_dist_one)
         return _one_row(_ERROR_CAUSES.values(), value=worst)
 
     return _sampled_max(trials, draw)
@@ -731,7 +741,7 @@ def check_lemma_2_5_bridge(cfg, rng):
             big_angle = a >= eps
             delta1 = float(d[big_angle].min()) if np.any(big_angle) else np.inf
             delta2 = float(a[d >= eps].min()) if np.any(d >= eps) else np.inf
-            min_env = min(min_env, delta1, delta2)
+            min_env = _min_of(min_env, delta1, delta2)
     return per * 2, float(min_env)
 
 
@@ -759,10 +769,10 @@ def check_lemma_2_6_proximity(cfg, rng):
     for eps in eps_grid:
         sel = arr[:, 1] >= eps
         if np.any(sel):
-            min_env = min(min_env, float(arr[sel, 0].min()))
+            min_env = _min_of(min_env, arr[sel, 0])
         sel = arr[:, 0] >= eps
         if np.any(sel):
-            min_env = min(min_env, float(arr[sel, 1].min()))
+            min_env = _min_of(min_env, arr[sel, 1])
     return sampler.made, float(min_env), sampler.made == total, sampler.detail()
 
 
@@ -815,7 +825,7 @@ def check_qs_envelope(cfg, rng):
             cloud = qs_cloud(h, VisualConfig(x, K1), VisualConfig(x_img, K1),
                              triples, seed=int(rng.integers(0, 2**31)))
             floor = 1.0 / h.declared_L - 0.1
-            margin = min(margin, cloud.alpha - floor)
+            margin = _min_of(margin, cloud.alpha - floor)
             detail[f"n{n}:{h.label()}"] = {"alpha": round(cloud.alpha, 4),
                                            "coeff": round(cloud.coeff, 4)}
     return triples, float(margin), True, detail
@@ -834,7 +844,7 @@ def check_extension_identity(cfg, rng):
         ext = ExtensionConfig(p=_ref_ideal(n), m=256, refine_iters=32)
         pts = sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0)
         image = extension._extend_batch(h, ext, pts).image
-        worst = max(worst, _dist_raw(1.0, image, pts).max())
+        worst = _max_of(worst, _dist_raw(1.0, image, pts))
     return 2 * per_dim, float(worst)
 
 
@@ -849,7 +859,7 @@ def check_extension_isometry(cfg, rng):
         ext = ExtensionConfig(p=_ref_ideal(n), m=256, refine_iters=32)
         pts = sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0)
         image = extension._extend_batch(h, ext, pts).image
-        worst = max(worst, _dist_raw(1.0, image, iso.apply_interior_raw(pts)).max())
+        worst = _max_of(worst, _dist_raw(1.0, image, iso.apply_interior_raw(pts)))
     return 2 * per_dim, float(worst)
 
 
@@ -863,7 +873,7 @@ def check_visual_band_source(cfg, rng):
         pts = sample_ball_hyperbolic(rng, per_dim, n, 1.0, 5.0)
         vals = visual_dist_many(pts[:, None, :], 1.0, extension._equator_raw(pts, p, 64),
                                 extension._q_raw(pts, p)[:, None, :])
-        worst = max(worst, float(np.max(np.abs(vals - SQRT2_M1))))
+        worst = _max_of(worst, np.abs(vals - SQRT2_M1))
     return 2 * per_dim, worst
 
 
@@ -878,8 +888,8 @@ def check_image_band(cfg, rng):
         for h in _builtin_boundary_maps(n):
             pts = sample_ball_hyperbolic(rng, per_map, n, 1.0, 4.0)
             rep = boundary_bounds_check(h, ext, pts)
-            lo = min(lo, rep.image_min)
-            hi = max(hi, rep.image_max)
+            lo = _min_of(lo, rep.image_min)
+            hi = _max_of(hi, rep.image_max)
             detail[f"n{n}:{h.label()}"] = {"min": round(rep.image_min, 6),
                                            "max": round(rep.image_max, 6)}
     return per_map * 10, float(lo), hi < 1.0, {"image_max": float(hi), **detail}
@@ -901,7 +911,7 @@ def check_span_bound(cfg, rng):
         sup4 = float(spans[:per_ball].max())
         sup6 = float(spans.max())
         rel = 0.0 if sup6 < 1e-6 else (sup6 - sup4) / sup6
-        worst_rel = max(worst_rel, rel)
+        worst_rel = _max_of(worst_rel, rel)
         detail[h.label()] = {"sup_r4": float(sup4), "sup_r6": float(sup6)}
     return per_ball * 2, worst_rel, True, detail
 
@@ -930,7 +940,7 @@ def check_inverse_gap(cfg, rng):
     rows = continuity_modulus(h, ext, 5.0, grid,
                               n_base=cfg.count(16, 4), n_dirs=cfg.count(8, 3),
                               seed=cfg.seed + 36)
-    min_delta = min(r[2] for r in rows)
+    min_delta = _min_of([r[2] for r in rows])
     trials = cfg.count(1_000, 12)
     causes = ("close_endpoints",)
 
@@ -947,7 +957,7 @@ def check_inverse_gap(cfg, rng):
     pairs = sampler.run(draw)
     imgs = extension._extend_batch(h, ext, pairs.reshape(-1, 2)).image.reshape(-1, 2, 2)
     ray_gap = float(np.min(_dist_raw(1.0, imgs[:, 0], imgs[:, 1]), initial=np.inf))
-    return (sampler.made, float(min(min_delta, ray_gap)), sampler.made == trials,
+    return (sampler.made, _min_of(min_delta, ray_gap), sampler.made == trials,
             {"min_sphere_gap": float(min_delta), "min_ray_gap": float(ray_gap),
              **sampler.detail()})
 
@@ -1010,8 +1020,8 @@ def check_equivariance(cfg, rng):
             post_img = extension._extend_batch(post, ext, pts).image
             pre_img = extension._extend_batch(
                 pre, pre_cfg, g1.inverse().apply_interior_raw(pts)).image
-            worst = max(worst, _dist_raw(1.0, post_img, g2.apply_interior_raw(base)).max(),
-                        _dist_raw(1.0, pre_img, base).max())
+            worst = _max_of(worst, _dist_raw(1.0, post_img, g2.apply_interior_raw(base)),
+                            _dist_raw(1.0, pre_img, base))
     return per_map * 8, float(worst)
 
 
@@ -1035,7 +1045,7 @@ def check_equator_planar_match(cfg, rng):
     for h2, h3 in pairs:
         f2 = extension._extend_batch(h2, cfg2, pts).image
         f3 = extension._extend_batch(h3, cfg3, np.hstack([pts, flat])).image
-        worst = max(worst, _dist_raw(1.0, f3, np.hstack([f2, flat])).max())
+        worst = _max_of(worst, _dist_raw(1.0, f3, np.hstack([f2, flat])))
     return count * 3, float(worst)
 
 
@@ -1050,8 +1060,8 @@ def check_bounded_distance(cfg, rng):
     inner = sample_ball_hyperbolic(rng, count, 2, 1.0, 3.0)
     shell = sample_ball_hyperbolic(rng, count, 2, 1.0, 6.0)
     sup3 = compare_to_interior(f_warp, ext, inner)
-    sup6 = max(sup3, compare_to_interior(f_warp, ext, shell))
-    rel = (sup6 - sup3) / sup6 if sup6 > 0 else 0.0
+    sup6 = _max_of(sup3, compare_to_interior(f_warp, ext, shell))
+    rel = 0.0 if sup6 == 0.0 else (sup6 - sup3) / sup6
 
     iso = translation_along_first_axis(1.0, 2)
     pts = sample_ball_hyperbolic(rng, cfg.count(200, 8), 2, 1.0, 4.0)

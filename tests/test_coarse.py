@@ -9,7 +9,9 @@ from hypext.coarse import (
     Triangle,
     _foot_params_raw,
     _prepare_side_data,
+    _side_ends,
     _side_gaps,
+    _window_dist,
     area_defect,
     comparison_report,
     hausdorff_distance,
@@ -27,6 +29,7 @@ from hypext.model import (
     K1,
     MobiusIsometry,
     _dist_raw,
+    _geodesic_point_raw,
     _mobius_add,
     angle,
     apply_mobius,
@@ -122,20 +125,76 @@ class TestThinness:
             assert thinness(Triangle(*verts), K1) == pytest.approx(batch[i], abs=1e-10)
 
     def test_crossing_never_below_dense_sampling(self):
-        gen = np.random.default_rng(21)
+        _check_against_dense(np.random.default_rng(21), R_TRUNC)
+
+    @pytest.mark.parametrize("r_trunc", [1.0, 3.0])
+    def test_short_windows_never_below_dense_sampling(self, r_trunc):
+        # short truncations put many crossings on the window-end pieces
+        _check_against_dense(np.random.default_rng(25), r_trunc)
+
+    def test_closed_form_matches_bisection(self):
+        gen = np.random.default_rng(24)
         for lam in (1.0, 2.0):
             for n in (2, 3):
-                coords, flags = _random_triangles(gen, 24, n, lam)
-                dist, spacing = _dense_side_distances(coords, flags, lam)
-                side_ref = dist.min(axis=-1).max(axis=2)
-                gaps = _side_gaps(*_prepare_side_data(coords, flags, lam, R_TRUNC), lam)
-                vals = thinness_batch(coords, flags, CurvatureScale(lam))
-                # per side, and the triangle's max over its sides; the gap is
-                # 1-Lipschitz, so the sup is within half a spacing
-                for got, ref, step in ((gaps, side_ref, spacing),
-                                       (vals, side_ref.max(axis=1), spacing.max(axis=1))):
-                    assert np.all(got >= ref - 1e-12)
-                    assert np.all(got <= ref + 0.5 * step + 1e-12)
+                coords, flags = _random_triangles(gen, 250, n, lam)
+                sides = _prepare_side_data(coords, flags, lam, R_TRUNC)
+                assert np.max(np.abs(_side_gaps(*sides, lam) - _bisection_gaps(*sides, lam))) \
+                    <= 1e-11
+
+    def test_shared_ideal_vertex(self):
+        # both sides at the ideal vertex e1 recover it bit for bit, so the
+        # coefficient |u_s - v_X|^2 / 2 of side 0 against side 2 is exactly 0
+        coords = np.array([[[1.0, 0.0], [-0.5, -0.3], [-0.5, 0.3]]])
+        flags = np.array([[True, False, False]])
+        for lam in (1.0, 2.0):
+            sides = _prepare_side_data(coords, flags, lam, R_TRUNC)
+            u, v = _side_ends(*sides[:2])
+            assert np.array_equal(u[0, 0], v[0, 2])
+            gaps = _side_gaps(*sides, lam)
+            assert np.all(np.isfinite(gaps))
+            assert np.max(np.abs(gaps - _bisection_gaps(*sides, lam))) <= 1e-11
+            dist, _ = _dense_side_distances(coords, flags, lam)
+            assert np.all(gaps >= dist.min(axis=-1).max(axis=2) - 1e-12)
+
+    def test_end_against_end_crossing(self):
+        # with the truncation at radius 1, d_A and d_B cross on side 0 where
+        # both feet sit at window ends; without the end-against-end roots
+        # the gap reads 0.3143 instead of 0.3356
+        ideal_end = np.array([-0.99042, 0.13806])
+        coords = np.array([[[-0.537, 0.085], [-0.195, -0.964],
+                            ideal_end / np.linalg.norm(ideal_end)]])
+        flags = np.array([[False, False, True]])
+        sides = _prepare_side_data(coords, flags, 1.0, 1.0)
+        gaps = _side_gaps(*sides, 1.0)
+        assert np.max(np.abs(gaps - _bisection_gaps(*sides, 1.0))) <= 1e-11
+        dist, spacing = _dense_side_distances(coords, flags, 1.0, r_trunc=1.0)
+        ref = dist.min(axis=-1).max(axis=2)
+        assert np.all(gaps >= ref - 1e-12) and np.all(gaps <= ref + 0.5 * spacing + 1e-12)
+        assert gaps[0, 0] == pytest.approx(0.3356, abs=1e-4)
+
+    def test_degenerate_and_tiny_triangles_are_finite(self):
+        e1 = np.array([1.0, 0.0])
+        base = np.array([0.3, -0.2])
+        far = np.array([0.999, 0.0])
+        tiny = np.array([[0.0, 0.0], [1e-9, 0.0], [0.0, 1e-9]])
+        rows = [
+            ([e1, [-0.5, 0.0], [0.2, 0.0]], [True, False, False]),     # collinear
+            ([e1, -e1, [0.2, 0.0]], [True, True, False]),               # collinear
+            ([base, base + [1e-7, 0.0], base + [2e-7, 1e-15]], [False] * 3),
+            (list(tiny), [False] * 3),
+            (list(far + tiny), [False] * 3),
+            ([e1, [0.0, 1e-9], [0.0, -1e-9]], [True, False, False]),
+        ]
+        for coords, flags in rows:
+            coords = np.array([coords], dtype=float)
+            flags = np.array([flags])
+            for lam in (1.0, 2.0):
+                sides = _prepare_side_data(coords, flags, lam, R_TRUNC)
+                gaps = _side_gaps(*sides, lam)
+                assert np.all(np.isfinite(gaps)) and np.all(gaps >= 0.0)
+                # a side's gap is at most the distance from its points to
+                # the vertex it shares with a neighbour, so at most its length
+                assert np.all(gaps <= sides[3] - sides[2] + 1e-12)
 
     def test_moved_ideal_triangles_attain_classical_constant(self):
         gen = np.random.default_rng(22)
@@ -161,6 +220,52 @@ class TestThinness:
         assert np.all(np.sign(diff) == np.sign(diff[0]))
         assert np.argmax(gaps[0]) in (0, DENSE - 1)
         assert val == pytest.approx(gaps.max(), abs=1e-12)
+
+
+def _check_against_dense(gen, r_trunc):
+    """Each side's gap, and each triangle's thinness, lie between the dense
+    reference and the reference plus half its spacing: the gap is
+    1-Lipschitz along a side, so its sup is within half a spacing."""
+    for lam in (1.0, 2.0):
+        for n in (2, 3):
+            coords, flags = _random_triangles(gen, 24, n, lam)
+            dist, spacing = _dense_side_distances(coords, flags, lam, r_trunc)
+            side_ref = dist.min(axis=-1).max(axis=2)
+            gaps = _side_gaps(*_prepare_side_data(coords, flags, lam, r_trunc), lam)
+            vals = thinness_batch(coords, flags, CurvatureScale(lam), r_trunc=r_trunc)
+            for got, ref, step in ((gaps, side_ref, spacing),
+                                   (vals, side_ref.max(axis=1), spacing.max(axis=1))):
+                assert np.all(got >= ref - 1e-12)
+                assert np.all(got <= ref + 0.5 * step + 1e-12)
+
+
+def _bisection_gaps(m_all, d_all, lo_all, hi_all, lam, steps=48):
+    """Reference side gaps by bisection on the sign of d_A - d_B, each
+    distance measured by _window_dist; 48 steps narrow a window of at most
+    40 below 1.5e-13, and the largest gap evaluated is kept."""
+    count, _, n = m_all.shape
+    others = np.array([[1, 2], [2, 0], [0, 1]])
+    m, dirs = m_all.reshape(-1, n), d_all.reshape(-1, n)
+    nbr_m = m_all[:, others].reshape(-1, 2, n)
+    nbr_d = d_all[:, others].reshape(-1, 2, n)
+    nbr_s_lo = np.tanh(0.5 * lam * lo_all)[:, others].reshape(-1, 2)
+    nbr_s_hi = np.tanh(0.5 * lam * hi_all)[:, others].reshape(-1, 2)
+
+    def dists(t):
+        pts = _geodesic_point_raw(m, dirs, t, lam)
+        return _window_dist(pts[:, None, :], nbr_m, nbr_d, nbr_s_lo, nbr_s_hi, lam)
+
+    lo, hi = lo_all.reshape(-1), hi_all.reshape(-1)
+    d_lo = dists(lo)
+    best = np.maximum(d_lo.min(axis=1), dists(hi).min(axis=1))
+    lo_sign = d_lo[:, 0] > d_lo[:, 1]
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        d = dists(mid)
+        best = np.maximum(best, d.min(axis=1))
+        lo_side = (d[:, 0] > d[:, 1]) == lo_sign
+        lo, hi = np.where(lo_side, mid, lo), np.where(lo_side, hi, mid)
+    return best.reshape(count, 3)
 
 
 # Dense reference for thinness and quasicenters: DENSE points of each side

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hypext.verify as V
-from hypext import visual
+from hypext import model, visual
 from hypext.errors import GeometryError
 
 CFG = V.VerifyConfig(seed=7, scale=0.01)
@@ -59,6 +59,45 @@ class TestBoundedLoops:
 
         monkeypatch.setattr(V, "sample_boundary", at_p)
         run_starved(V.check_inverse_gap, CFG.count(1_000, 12))
+
+
+    def test_trig_identity(self, monkeypatch):
+        # every residual is NaN; the one sampler runs once for each of 3 lam
+        def nan_residual(lam, va, vb, vc):
+            return np.full(len(va), np.nan), np.full(len(va), np.pi / 2.0)
+
+        monkeypatch.setattr(V, "_right_triangle_residual_raw", nan_residual)
+        run_starved(V.check_trig_identity, 3 * (CFG.count(10_000, 30) // 3))
+
+    def test_lemma_2_3_small_angle(self, monkeypatch):
+        def nan_angle(x, y, z):
+            return np.full(np.broadcast_shapes(x.shape, y.shape, z.shape)[:-1], np.nan)
+
+        monkeypatch.setattr(V, "_angle_raw", nan_angle)
+        run_starved(V.check_lemma_2_3_small_angle, CFG.count(2_000, 20))
+
+
+class TestNanStatistics:
+    """A NaN in a folded statistic fails the row instead of being dropped."""
+
+    @pytest.mark.parametrize("check", [V.check_metric_axioms, V.check_lambda_scaling,
+                                       V.check_mobius_isometry, V.check_extension_identity])
+    def test_nan_distance_fails(self, monkeypatch, check):
+        def nan_dist(lam, x, y):
+            return np.full(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1], np.nan)
+
+        monkeypatch.setattr(V, "_dist_raw", nan_dist)
+        monkeypatch.setattr(model, "_dist_raw", nan_dist)    # under hyp_dist
+        result = check(CFG)
+        assert np.isnan(result.measured)
+        assert not result.passed
+
+    def test_nan_thinness_fails_delta_log3(self, monkeypatch):
+        monkeypatch.setattr(V, "thinness_batch",
+                            lambda coords, flags, k: np.full(len(coords), np.nan))
+        result = V.check_delta_log3(CFG)
+        assert np.isnan(result.measured)
+        assert not result.passed
 
 
 class TestRejectionCauses:
