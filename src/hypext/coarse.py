@@ -299,12 +299,13 @@ def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
     span = np.linalg.norm(nbr_u - nbr_v, axis=-1)
     span2 = span * span
     z_lo, z_hi = np.exp(lam * nbr_lo), np.exp(lam * nbr_hi)
+    z2_lo, z2_hi = z_lo * z_lo, z_hi * z_hi
 
     def feet(w):
         """e^s |u - v| (g, h) at w and e^(2 sigma) at the feet on A and B."""
         g = a1 + w[..., None] * b1
         h = a2 + w[..., None] * b2
-        return g, h, np.clip(g / h, z_lo * z_lo, z_hi * z_hi)
+        return g, h, np.clip(g / h, z2_lo, z2_hi)
 
     def score(w):
         """Row-wise e^s |u - v| min(cosh d_A, cosh d_B) at w."""
@@ -325,12 +326,12 @@ def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
                 if i != 1 and j != 1:
                     (alpha_a, beta_a), (alpha_b, beta_b) = ends[i // 2], ends[j // 2]
                     yield (alpha_b[:, 1] - alpha_a[:, 0]) / (beta_a[:, 0] - beta_b[:, 1])
-                    continue
-                c0, c1, c2 = (ca[:, 0] - cb[:, 1] for ca, cb in zip(piece_a, piece_b))
-                q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)),
-                                             c1))
-                yield q / c2
-                yield c0 / q
+                else:
+                    c0, c1, c2 = (ca[:, 0] - cb[:, 1] for ca, cb in zip(piece_a, piece_b))
+                    disc = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
+                    q = -0.5 * (c1 + np.copysign(disc, c1))
+                    yield q / c2
+                    yield c0 / q
 
     w_lo, w_hi = np.exp(2.0 * lam * lo), np.exp(2.0 * lam * hi)
     best_w, best = w_lo, np.full(lo.shape, -np.inf)
@@ -343,11 +344,12 @@ def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
             best = np.where(better, val, best)
             best_w = np.where(better, w, best_w)
 
-    w = np.stack([best_w, w_lo, w_hi])
-    t = np.clip(0.5 * np.log(w) / lam, lo, hi)
-    foot = _geodesic_point_raw(nbr_m, nbr_d, 0.5 * np.log(feet(w)[2]) / lam, lam)
-    gaps = _dist_raw(lam, _geodesic_point_raw(m, dirs, t, lam)[..., None, :], foot)
-    return gaps.min(axis=2).max(axis=0).reshape(count, 3)
+    def gap(w):
+        t = np.clip(0.5 * np.log(w) / lam, lo, hi)
+        foot = _geodesic_point_raw(nbr_m, nbr_d, 0.5 * np.log(feet(w)[2]) / lam, lam)
+        return _dist_raw(lam, _geodesic_point_raw(m, dirs, t, lam)[:, None, :], foot).min(axis=1)
+
+    return np.max([gap(best_w), gap(w_lo), gap(w_hi)], axis=0).reshape(count, 3)
 
 
 def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
