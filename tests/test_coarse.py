@@ -192,8 +192,9 @@ class TestThinness:
                 sides = _prepare_side_data(coords, flags, lam, R_TRUNC)
                 gaps = _side_gaps(*sides, lam)
                 assert np.all(np.isfinite(gaps)) and np.all(gaps >= 0.0)
-                # a side's gap is at most the distance from its points to
-                # the vertex it shares with a neighbour, so at most its length
+                # with interior vertices a gap is at most the distance to a
+                # shared vertex, so at most the side's length; sides with a
+                # truncated ideal end are long
                 assert np.all(gaps <= sides[3] - sides[2] + 1e-12)
 
     def test_moved_ideal_triangles_attain_classical_constant(self):
