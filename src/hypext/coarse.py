@@ -11,7 +11,10 @@ side is exact (clamp the foot parameter to the window), and everything
 vectorizes over rows.  Thinness and quasicenters measure the same windows.
 Thinness is exact: along a side the gap to the other two sides peaks where
 their distances cross, and that crossing is solved in closed form from
-hyperboloid inner products with the sides' ideal ends.
+hyperboloid inner products with the sides' ideal ends.  The quasicenter is
+the triangle's incenter, in closed form from the vertices' hyperboloid
+lifts; a simplex descent stands in only when a short truncation cuts the
+incenter's feet off their windows.
 """
 
 from dataclasses import dataclass
@@ -365,12 +368,72 @@ def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
     return _side_gaps(*sides, k.lam).max(axis=1)
 
 
-def quasicenter(t: Triangle, k: CurvatureScale = K1, *, seed=None,
-                max_iter: int = 10_000, f_tol: float = 1e-10):
+def _incenter_raw(coords, flags):
+    """Row-wise incenter of triangles: (B, 3, n) closure coordinates and
+    (B, 3) ideal flags to (B, n) ball points.
+
+    Hyperboloid model (Ratcliffe, Foundations of Hyperbolic Manifolds, sec.
+    3.2): a ball point x lifts to W = ((1 + |x|^2) / 2, x), a multiple of
+    the unit timelike lift, and an ideal point u to the null vector (1, u).
+    With a = 1 - |x|^2 (0 at an ideal point), -<W_i, W_j> = a_i a_j / 4 +
+    |x_i - x_j|^2 / 2, a sum of nonnegative terms.  X = sum c_i W_i with
+    c_i = sqrt(<W_j, W_k>^2 - <W_j, W_j> <W_k, W_k>), the Lorentz norm of
+    W_j x W_k, has the same inner product with the three unit side normals,
+    so it is equidistant from the three side lines; the c_i are positive,
+    so X lies inside the triangle and its feet surround it.  In ball terms
+    c_i = sqrt(g (a_j a_k + g)) / 2 with g = |x_j - x_k|^2, which is
+    a_j a_k / 4 times sinh of the side length between interior vertices;
+    no term cancels.  X lies in
+    the span of the lifts, the triangle's plane, in any dimension, and maps
+    back to x = X_s / (X_0 + sqrt(-<X, X>)).
+    """
+    a = np.where(flags, 0.0, 1.0 - np.sum(coords * coords, axis=-1))
+    gap = np.empty(flags.shape)
+    c = np.empty(flags.shape)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        gap[:, i] = np.sum((coords[:, j] - coords[:, k]) ** 2, axis=-1)
+        c[:, i] = 0.5 * np.sqrt(gap[:, i] * (a[:, j] * a[:, k] + gap[:, i]))
+    x0 = np.sum(c * (1.0 - 0.5 * a), axis=1)
+    xs = np.sum(c[..., None] * coords, axis=1)
+    # -<X, X> = (sum c_i a_i / 2)^2 + sum over pairs of c_j c_k |x_j - x_k|^2,
+    # the pair (j, k) being the side opposite vertex i
+    pair = c[:, [1, 2, 0]] * c[:, [2, 0, 1]]
+    norm2 = (0.5 * np.sum(c * a, axis=1)) ** 2 + np.sum(pair * gap, axis=1)
+    return xs / (x0 + np.sqrt(norm2))[:, None]
+
+
+def quasicenter(t: Triangle, k: CurvatureScale = K1):
     """Minimizer of the max distance to the three sides and the attained value.
 
-    Exact distances to the truncated side windows that thinness measures;
-    derivative-free simplex descent in ball coordinates; raises
+    Distances are to the truncated side windows that thinness measures.
+    The point is the triangle's incenter (_incenter_raw): it is equidistant
+    from the three side lines and no point is nearer all three, and distance
+    to a window is at least the distance to its line, with equality when the
+    foot lies in the window.  So when every foot lies in its window the
+    incenter is the exact minimizer; otherwise (a short truncation) the
+    simplex descent _quasicenter_descent finds it.  The value is the largest
+    window distance at the point, which the windows attain.
+    """
+    coords, flags = _triangle_arrays(t)
+    lam = k.lam
+    m, d, lo, hi = (a[0] for a in _prepare_side_data(coords, flags, lam, R_TRUNC))
+    s_lo, s_hi = np.tanh(0.5 * lam * lo), np.tanh(0.5 * lam * hi)
+    x = _incenter_raw(coords, flags)[0]
+    if np.all(np.isfinite(x)) and np.linalg.norm(x) <= 1.0 - INTERIOR_EPS:
+        s = _foot_tanh(_mobius_add(-m, x), d)[0]
+        if np.all((s >= s_lo) & (s <= s_hi)):
+            return BallPoint(x), float(_window_dist(x, m, d, s_lo, s_hi, lam).max())
+    return _quasicenter_descent(t, k)[:2]
+
+
+def _quasicenter_descent(t: Triangle, k: CurvatureScale = K1, *, seed=None,
+                         max_iter: int = 10_000, f_tol: float = 1e-10):
+    """The quasicenter by derivative-free simplex descent in ball coordinates.
+
+    Minimizes the same window distances as quasicenter, starting from the
+    mean of the side midpoints (jittered by seed) and restarting the simplex
+    from the incumbent until the value stalls.  Returns the point, the
+    value, the objective evaluations and the restarts; raises
     ConvergenceError (carrying the best iterate) at the iteration cap.
     """
     coords, flags = _triangle_arrays(t)
@@ -393,6 +456,7 @@ def quasicenter(t: Triangle, k: CurvatureScale = K1, *, seed=None,
     simplex = _clamp_interior(simplex)
     iters_left = max_iter
     best_x, best_f = start, objective(start)
+    nfev = runs = 0
     # restart the simplex from the incumbent until the value stalls; the
     # objective is a max of smooth convex pieces and single runs can stall
     # on a shrunken degenerate simplex
@@ -401,6 +465,8 @@ def quasicenter(t: Triangle, k: CurvatureScale = K1, *, seed=None,
                                 options={"maxiter": iters_left, "xatol": 1e-10,
                                          "fatol": f_tol,
                                          "initial_simplex": simplex})
+        nfev += int(res.nfev)
+        runs += 1
         iters_left -= res.nit
         improved = best_f - res.fun
         if res.fun < best_f:
@@ -412,7 +478,7 @@ def quasicenter(t: Triangle, k: CurvatureScale = K1, *, seed=None,
     if iters_left <= 0:
         raise ConvergenceError("quasicenter descent hit its iteration cap",
                                point=point, value=best_f)
-    return point, best_f
+    return point, best_f, nfev, runs - 1
 
 
 # ---------------------------------------------------------------------------

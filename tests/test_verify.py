@@ -206,6 +206,13 @@ class TestSamplingReport:
         made = first.samples - (CFG.count(300, 10) if check_id == "extension_injectivity" else 0)
         assert detail["attempts"] == made + sum(detail["rejections"].values())
 
+    def test_quasicenter_descent_work_is_reported(self):
+        first, second = V.check_quasicenter_uniqueness(CFG), V.check_quasicenter_uniqueness(CFG)
+        for key in ("descent_nfev", "descent_restarts"):
+            assert type(first.detail[key]) is int
+            assert first.detail[key] == second.detail[key]
+        assert first.detail["descent_nfev"] > 0
+
     def test_convexity_evaluates_every_sample(self, monkeypatch):
         # at seed 7, scale 1 one draw has close endpoints; its replacement
         # is drawn and evaluated, three geodesics per evaluated row
