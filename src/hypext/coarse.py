@@ -1,13 +1,12 @@
 """Coarse measurements: thin triangles, quasicenters, Hausdorff distance,
 quasigeodesic deviation, comparison triangles, projections onto geodesics.
 
-A geodesic is its anchor m (the point nearest the origin) and its unit
-direction d there; w = m (-) x moves a point into the frame where the
-geodesic is the diameter along d.  There the perpendicular foot has a closed
-form in the axial component w.d and the distance of w from that line.
-Triangles become sides in one place, ``_prepare_side_data``: parameter
-windows, with ideal vertices truncated alike, on such frames.  Distance to a
-side is exact (clamp the foot parameter to the window), and everything
+A geodesic is its two ideal ends (u, v), and the model's row-wise kernels
+give its point at a parameter and the parameter of a point's perpendicular
+foot with no change of frame.  Triangles become sides in one place,
+``_prepare_side_data``: each side's ends and its parameter window, with
+ideal vertices truncated alike.  Distance to a side is exact (the distance
+to the point at the foot parameter clamped to the window), and everything
 vectorizes over rows.  Thinness and quasicenters measure the same windows.
 Thinness is exact: along a side the gap to the other two sides peaks where
 their distances cross, and that crossing is solved in closed form from
@@ -30,13 +29,12 @@ from .model import (
     CurvatureScale,
     Geodesic,
     K1,
-    _arc_frames_raw,
     _clamp_interior,
     _dist_raw,
+    _geodesic_ends_raw,
     _geodesic_param_raw,
     _geodesic_point_raw,
-    _mobius_add,
-    _translate_ideal,
+    _ideal_foot_reach,
     angle,
     closure_coords,
     closure_eq,
@@ -50,52 +48,16 @@ from .model import (
 R_TRUNC = 20.0
 
 
-def _normalize_rows(v):
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-def _foot_tanh(w, d):
-    """Perpendicular foot of frame points w on the diameter along d.
-
-    Returns tanh(lam t / 2) for the foot parameter t, the axial component
-    z1 = w.d, the squared distance rho2 of w from the diameter and |w|^2.
-    The discriminant (1+|w|^2)^2 - 4 z1^2 is factored so points near the
-    axis and near the sphere do not cancel catastrophically.
-    """
-    z1 = np.sum(w * d, axis=-1)
-    perp = w - z1[..., None] * d
-    rho2 = np.sum(perp * perp, axis=-1)
-    nw2 = np.sum(w * w, axis=-1)
-    disc = ((1.0 - z1) ** 2 + rho2) * ((1.0 + z1) ** 2 + rho2)
-    return 2.0 * z1 / ((1.0 + nw2) + np.sqrt(disc)), z1, rho2, nw2
-
-
-def _foot_params_raw(w, d, lam):
-    """Foot parameter on the geodesic (m, d) of frame points w = m (-) x,
-    valid for |w| <= 1; callers reject ideal points at an axis end."""
-    s = np.clip(_foot_tanh(w, d)[0], -1.0 + INTERIOR_EPS, 1.0 - INTERIOR_EPS)
-    return 2.0 * np.arctanh(s) / lam
-
-
 # ---------------------------------------------------------------------------
 # orthogonal projection
 # ---------------------------------------------------------------------------
 
-def _project_raw(x, m, d, lam):
-    """Row-wise orthogonal_project of ball rows x on the geodesics (m, d)."""
-    return _geodesic_point_raw(m, d, _foot_params_raw(_mobius_add(-m, x), d, lam), lam)
-
-
 def orthogonal_project(q: ClosurePoint, g: Geodesic) -> BallPoint:
     """Perpendicular foot of q on g; q itself when q already lies on g."""
-    m, d = g.anchor.coords, g.unit_direction_at_anchor
-    if is_ideal(q):
-        w = _translate_ideal(-m, q.direction)
-        if abs(w @ d) > 1.0 - 1e-12:
-            raise GeometryError("projection undefined for an ideal endpoint of the geodesic")
-    else:
-        w = _mobius_add(-m, q.coords)
-    return BallPoint(_geodesic_point_raw(m, d, _foot_params_raw(w, d, g.lam), g.lam))
+    t = g.param_of(q)
+    if is_ideal(q) and not g.lam * abs(t) <= _ideal_foot_reach(1e-12):
+        raise GeometryError("projection undefined for an ideal endpoint of the geodesic")
+    return BallPoint(g.point_at_raw(t))
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +110,6 @@ def thinness(t: Triangle, k: CurvatureScale = K1, *, r_trunc: float = R_TRUNC) -
 
 # --- batched thinness (the scalar op wraps batch size 1) --------------------
 
-def _batch_side_endpoints(xa, ideal_a, xb, ideal_b):
-    """Ideal endpoints (u toward a, v toward b) for rows of closure points."""
-    u = np.empty_like(xa)
-    v = np.empty_like(xa)
-    both = ideal_a & ideal_b
-    from_a = ~ideal_a
-    from_b = ideal_a & ~ideal_b
-    if np.any(both):
-        u[both] = xa[both]
-        v[both] = xb[both]
-    if np.any(from_a):
-        base, tgt = xa[from_a], xb[from_a]
-        what = _normalize_rows(_mobius_add(-base, tgt))
-        u[from_a] = _normalize_rows(_mobius_add(base, -what))
-        vv = _normalize_rows(_mobius_add(base, what))
-        tgt_ideal = ideal_b[from_a]
-        vv[tgt_ideal] = tgt[tgt_ideal]
-        v[from_a] = vv
-    if np.any(from_b):
-        base, tgt = xb[from_b], xa[from_b]
-        what = _normalize_rows(_mobius_add(-base, tgt))
-        u[from_b] = tgt
-        v[from_b] = _normalize_rows(_mobius_add(base, -what))
-    return u, v
-
-
 # Coordinates are only representable out to hyperbolic radius ~23/lam from
 # the origin (tanh saturates).  The truncation ball is shrunk so every window
 # end stays representable; the same ball cuts all three sides, which keeps
@@ -183,23 +119,22 @@ _SAFE_REACH = 23.0
 
 
 def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
-    """Stacked per-side frames and windows for a batch of triangles.
+    """Stacked per-side ends and windows for a batch of triangles.
 
-    Returns (m, d, lo, hi) with shapes (B, 3, n) / (B, 3, n) / (B, 3) / (B, 3):
-    each side's anchor, unit direction and parameter window.
+    Returns (u, v, lo, hi) with shapes (B, 3, n) / (B, 3, n) / (B, 3) / (B, 3):
+    each side's ideal ends, u beyond its first vertex and v beyond its
+    second, and its parameter window.
     """
     count = coords.shape[0]
     pairs = ((0, 1), (1, 2), (2, 0))
-    frames = []
-    for i, j in pairs:
-        u, v = _batch_side_endpoints(coords[:, i], ideal_flags[:, i],
-                                     coords[:, j], ideal_flags[:, j])
-        frames.append(_arc_frames_raw(u, v))
+    ends = [_geodesic_ends_raw(coords[:, i], coords[:, j], ideal_flags[:, i], ideal_flags[:, j])
+            for i, j in pairs]
 
     # base point: the smallest-norm candidate among interior vertices and
-    # the three side anchors keeps the truncation ball representable even
-    # for slivers hugging the boundary sphere
-    cand = np.concatenate([coords, np.stack([fr[0] for fr in frames], axis=1)], axis=1)
+    # the three side anchors (t = 0) keeps the truncation ball representable
+    # even for slivers hugging the boundary sphere
+    anchors = [_geodesic_point_raw(u, v, 0.0, lam) for u, v in ends]
+    cand = np.concatenate([coords, np.stack(anchors, axis=1)], axis=1)
     cand_norm = np.linalg.norm(cand, axis=2)
     cand_norm[:, :3] = np.where(ideal_flags, np.inf, cand_norm[:, :3])
     pick = np.argmin(cand_norm, axis=1)
@@ -208,44 +143,34 @@ def _prepare_side_data(coords, ideal_flags, lam, r_trunc):
     r_eff = np.minimum(r_trunc, np.maximum(_SAFE_REACH / lam - d0_base, 1.0))
 
     sides = []
-    for (i, j), (m, d) in zip(pairs, frames):
-        t_foot = _foot_params_raw(_mobius_add(-m, base), d, lam)
-        d_perp = _window_dist(base, m, d, -1.0, 1.0, lam)
+    for (i, j), (u, v) in zip(pairs, ends):
+        t_foot = _geodesic_param_raw(u, v, base, lam)
+        d_perp = _dist_raw(lam, base, _geodesic_point_raw(u, v, t_foot, lam))
         ratio = np.cosh(lam * r_eff) / np.cosh(lam * d_perp)
         cut = np.arccosh(np.maximum(ratio, 1.0)) / lam
+        # an ideal vertex's own foot is -inf or +inf, and the cut replaces it
         lo = np.where(ideal_flags[:, i], t_foot - cut,
-                      _geodesic_param_raw(m, d, coords[:, i], lam))
+                      _geodesic_param_raw(u, v, coords[:, i], lam))
         hi = np.where(ideal_flags[:, j], t_foot + cut,
-                      _geodesic_param_raw(m, d, coords[:, j], lam))
-        sides.append((m, d, np.minimum(lo, hi), np.maximum(lo, hi)))
+                      _geodesic_param_raw(u, v, coords[:, j], lam))
+        sides.append((u, v, np.minimum(lo, hi), np.maximum(lo, hi)))
     return tuple(np.stack(a, axis=1) for a in zip(*sides))
 
 
-def _window_dist(pts, m, d, s_lo, s_hi, lam):
+def _window_dist(pts, u, v, lo, hi, lam):
     """Distance from ball points to side windows, row by row.
 
-    Each side is given by its anchor m, its unit direction d and its window
-    [s_lo, s_hi] in tanh space; all arguments broadcast over leading axes.
-    The perpendicular foot has a closed form on the frame diameter, and
-    clipping it to the window gives the nearest point of the side segment.
+    Each side is given by its ideal ends u, v and its parameter window
+    [lo, hi], or (-inf, inf) for the whole line; all arguments broadcast
+    over leading axes.  Distance along the
+    side is convex with its least value at the perpendicular foot, so the
+    foot clamped to the window is the nearest point of the side segment.
     """
-    s, z1, rho2, nw2 = _foot_tanh(_mobius_add(-m, pts), d)
-    s = np.clip(s, s_lo, s_hi)
-    d2 = (z1 - s) ** 2 + rho2
-    conf = np.maximum((1.0 - nw2) * (1.0 - s * s), 1e-300)
-    return 2.0 * np.arcsinh(np.sqrt(d2 / conf)) / lam
+    t = np.clip(_geodesic_param_raw(u, v, pts, lam), lo, hi)
+    return _dist_raw(lam, pts, _geodesic_point_raw(u, v, t, lam))
 
 
-def _side_ends(m, d):
-    """Ideal ends (u, v) of the geodesics (m, d), the inverse of
-    model._arc_frames_raw: m is orthogonal to d, u + v = 4 m / (1 + |m|^2)
-    and v - u = 2 (1 - |m|^2) d / (1 + |m|^2)."""
-    m2 = np.sum(m * m, axis=-1, keepdims=True)
-    half_gap = (1.0 - m2) * d
-    return (2.0 * m - half_gap) / (1.0 + m2), (2.0 * m + half_gap) / (1.0 + m2)
-
-
-def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
+def _side_gaps(u_all, v_all, lo_all, hi_all, lam):
     """(B, 3) sup over each side of its distance to the nearer other side.
 
     Takes the side data of _prepare_side_data.  Along a side, the distances
@@ -269,27 +194,20 @@ def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
     is scored by that cosh form, and the best is kept.  At it and at both
     window ends, the gap is the distance (model._dist_raw) from the side's
     point to the two feet: a value the side attains, to rounding.  The feet
-    come from the same closed form, since a frame translation by an anchor
-    near the sphere (as _window_dist does) can cost 1e-10 there.  cosh
-    resolves a gap d only to about 1e-16 / d, so gaps under about 1e-6 may
-    read low, never high.
+    come from the same closed form, in e^(2 sigma), and the side's point
+    and the feet from the ends.  cosh resolves a gap d only to about
+    1e-16 / d, so gaps under about 1e-6 may read low, never high.
     """
-    count, _, n = m_all.shape
+    count, _, n = u_all.shape
     # row (b, i) is side i of triangle b; its neighbours are the other two
     others = np.array([[1, 2], [2, 0], [0, 1]])
-    m = m_all.reshape(-1, n)
-    dirs = d_all.reshape(-1, n)
-    nbr_m = m_all[:, others].reshape(-1, 2, n)
-    nbr_d = d_all[:, others].reshape(-1, 2, n)
+    u, v = u_all.reshape(-1, 1, n), v_all.reshape(-1, 1, n)
+    nbr_u = u_all[:, others].reshape(-1, 2, n)
+    nbr_v = v_all[:, others].reshape(-1, 2, n)
     nbr_lo = lo_all[:, others].reshape(-1, 2)
     nbr_hi = hi_all[:, others].reshape(-1, 2)
     lo = lo_all.reshape(-1)
     hi = hi_all.reshape(-1)
-
-    u_all, v_all = _side_ends(m_all, d_all)
-    u, v = u_all.reshape(-1, 1, n), v_all.reshape(-1, 1, n)
-    nbr_u = u_all[:, others].reshape(-1, 2, n)
-    nbr_v = v_all[:, others].reshape(-1, 2, n)
 
     def half_sq(x, y):
         return 0.5 * np.sum((x - y) ** 2, axis=-1)
@@ -349,8 +267,8 @@ def _side_gaps(m_all, d_all, lo_all, hi_all, lam):
 
     def gap(w):
         t = np.clip(0.5 * np.log(w) / lam, lo, hi)
-        foot = _geodesic_point_raw(nbr_m, nbr_d, 0.5 * np.log(feet(w)[2]) / lam, lam)
-        return _dist_raw(lam, _geodesic_point_raw(m, dirs, t, lam)[:, None, :], foot).min(axis=1)
+        foot = _geodesic_point_raw(nbr_u, nbr_v, 0.5 * np.log(feet(w)[2]) / lam, lam)
+        return _dist_raw(lam, _geodesic_point_raw(u, v, t[:, None], lam), foot).min(axis=1)
 
     return np.max([gap(best_w), gap(w_lo), gap(w_hi)], axis=0).reshape(count, 3)
 
@@ -416,13 +334,12 @@ def quasicenter(t: Triangle, k: CurvatureScale = K1):
     """
     coords, flags = _triangle_arrays(t)
     lam = k.lam
-    m, d, lo, hi = (a[0] for a in _prepare_side_data(coords, flags, lam, R_TRUNC))
-    s_lo, s_hi = np.tanh(0.5 * lam * lo), np.tanh(0.5 * lam * hi)
+    u, v, lo, hi = (a[0] for a in _prepare_side_data(coords, flags, lam, R_TRUNC))
     x = _incenter_raw(coords, flags)[0]
     if np.all(np.isfinite(x)) and np.linalg.norm(x) <= 1.0 - INTERIOR_EPS:
-        s = _foot_tanh(_mobius_add(-m, x), d)[0]
-        if np.all((s >= s_lo) & (s <= s_hi)):
-            return BallPoint(x), float(_window_dist(x, m, d, s_lo, s_hi, lam).max())
+        feet = _geodesic_param_raw(u, v, x, lam)
+        if np.all((feet >= lo) & (feet <= hi)):
+            return BallPoint(x), float(_window_dist(x, u, v, lo, hi, lam).max())
     return _quasicenter_descent(t, k)[:2]
 
 
@@ -438,16 +355,15 @@ def _quasicenter_descent(t: Triangle, k: CurvatureScale = K1, *, seed=None,
     """
     coords, flags = _triangle_arrays(t)
     lam = k.lam
-    m, d, lo, hi = (a[0] for a in _prepare_side_data(coords, flags, lam, R_TRUNC))
-    s_lo, s_hi = np.tanh(0.5 * lam * lo), np.tanh(0.5 * lam * hi)
-    n = m.shape[1]
+    u, v, lo, hi = (a[0] for a in _prepare_side_data(coords, flags, lam, R_TRUNC))
+    n = u.shape[1]
 
     def objective(w):
         if np.linalg.norm(w) >= 1.0 - INTERIOR_EPS:
             return 1e6 + np.linalg.norm(w)
-        return float(_window_dist(w, m, d, s_lo, s_hi, lam).max())
+        return float(_window_dist(w, u, v, lo, hi, lam).max())
 
-    mids = _geodesic_point_raw(m, d, 0.5 * (lo + hi), lam)
+    mids = _geodesic_point_raw(u, v, 0.5 * (lo + hi), lam)
     start = _clamp_interior(mids.mean(axis=0) * 0.999)
     spread = 0.05
     simplex = np.vstack([start, start + spread * np.eye(n)])
@@ -516,18 +432,12 @@ def quasigeodesic_deviation(path, a: ClosurePoint, b: ClosurePoint,
     if pts.shape[0] < 2:
         raise GeometryError("a path needs at least two points")
     g = geodesic_between(a, b, k)
-    m, d = g.anchor.coords, g.unit_direction_at_anchor
-
-    def end_param(end, row):
-        if not is_ideal(end):
-            return g.param_of(end)
-        return float(_foot_params_raw(_mobius_add(-m, row), d, g.lam))
-
-    lo, hi = end_param(a, pts[0]), end_param(b, pts[-1])
+    lo, hi = (g.param_of(row if is_ideal(end) else end)
+              for end, row in ((a, pts[0]), (b, pts[-1])))
     if lo > hi:
         lo, hi = hi, lo
     count = geodesic_samples or max(256, 4 * pts.shape[0])
-    geo = _geodesic_point_raw(m, d, np.linspace(lo, hi, count), g.lam)
+    geo = g.point_at_raw(np.linspace(lo, hi, count))
     return hausdorff_distance(k, pts, geo)
 
 

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coarse import _foot_params_raw
 from .errors import GeometryError
 from .maps import BoundaryMap, InteriorMap
 from .model import (
@@ -28,10 +27,11 @@ from .model import (
     CurvatureScale,
     IdealPoint,
     K1,
-    _arc_frames_raw,
     _check_in_ball,
     _dist_raw,
+    _geodesic_param_raw,
     _geodesic_point_raw,
+    _ideal_foot_reach,
     _mobius_add,
     _translate_ideal,
 )
@@ -127,12 +127,11 @@ def equator(x: BallPoint, p: IdealPoint, m: int = 64):
     return [IdealPoint(row) for row in _equator_raw(x.coords[None, :], p.direction, m)[0]]
 
 
-def _ideal_feet(us, m, d, lam):
-    """Foot parameters of ideal rows us on the geodesics (m, d); rows too
+def _ideal_feet(us, u, v, lam):
+    """Foot parameters of ideal rows us on the geodesics (u, v); rows too
     close to an axis endpoint are returned as nan."""
-    w = _translate_ideal(-m, us)
-    bad = np.abs(np.sum(w * d, axis=-1)) > 1.0 - _ENDPOINT_GUARD
-    return np.where(bad, np.nan, _foot_params_raw(w, d, lam))
+    t = _geodesic_param_raw(u, v, us, lam)
+    return np.where(lam * np.abs(t) > _ideal_foot_reach(_ENDPOINT_GUARD), np.nan, t)
 
 
 def _golden_max(f, lo, hi, iters):
@@ -185,8 +184,8 @@ def _extend_batch(h: BoundaryMap, cfg: ExtensionConfig, points) -> _Batch:
     q_img, p_img = imgs[count * size:-1], imgs[-1]
     if np.any(np.linalg.norm(p_img - q_img, axis=-1) < _ENDPOINT_GUARD):
         raise GeometryError("boundary images of p and q_x collide")
-    m, d = _arc_frames_raw(q_img, p_img)
-    feet = _ideal_feet(imgs[:count * size].reshape(count, size, n), m[:, None], d[:, None], lam)
+    # the target axis runs from h(q_x) toward h(p)
+    feet = _ideal_feet(imgs[:count * size].reshape(count, size, n), q_img[:, None], p_img, lam)
     if np.any(np.all(np.isnan(feet), axis=1)):
         raise GeometryError("every equator image collided with an axis endpoint")
     t_min = np.nanmin(feet, axis=1)
@@ -206,15 +205,15 @@ def _extend_batch(h: BoundaryMap, cfg: ExtensionConfig, points) -> _Batch:
         step = 2.0 * np.pi / cfg.m
 
         def signed_foot(th):
-            u = _translate_ideal(xs[src], _circle(basis[src], th[:, None])[:, 0])
-            t = _ideal_feet(h.apply_raw(u), m[src], d[src], lam)
+            us = _translate_ideal(xs[src], _circle(basis[src], th[:, None])[:, 0])
+            t = _ideal_feet(h.apply_raw(us), q_img[src], p_img, lam)
             return np.where(np.isnan(t), -np.inf, sign * t)
 
         best = _golden_max(signed_foot, theta - step, theta + step, cfg.refine_iters)
         up = row < count
         np.maximum.at(t_max, src[up], best[up])
         np.minimum.at(t_min, src[~up], -best[~up])
-    return _Batch(_geodesic_point_raw(m, d, t_max, lam), t_min, t_max)
+    return _Batch(_geodesic_point_raw(q_img, p_img, t_max, lam), t_min, t_max)
 
 
 def extend(h: BoundaryMap, cfg: ExtensionConfig, x: BallPoint) -> BallPoint:

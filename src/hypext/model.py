@@ -3,14 +3,16 @@
 The model is the open unit ball with line element 2|dx| / (lam (1 - |x|^2)),
 so all lengths at curvature scale ``lam`` are the curvature -1 lengths divided
 by ``lam``.  Geodesics are diameters and circular arcs orthogonal to the unit
-sphere; ideal boundary points are unit vectors.  Mobius translations (gyro
-additions) supply exact isometries, which the rest of the package leans on for
-normalization: most operations reduce their input to a diameter or to the
-origin, apply a closed form, and map back.
+sphere; ideal boundary points are unit vectors.  A geodesic is its two ideal
+ends (u, v), and three row-wise kernels work on ends directly, with no change
+of frame: the ends of the geodesic through two closure points, the point at
+an arc-length parameter, and the parameter of a closure point's
+perpendicular foot.  Mobius translations (gyro additions) supply exact
+isometries; the exponential map, directions and angles reduce their input to
+the origin with them, apply a closed form, and map back.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -327,85 +329,121 @@ def _arc_frames_raw(u, v):
     return (u + v) / (2.0 + gap), diff / gap
 
 
+def _geodesic_ends_raw(xa, xb, ideal_a, ideal_b):
+    """Ideal ends (u beyond a, v beyond b) of the geodesics through closure
+    rows xa and xb, whose ideal flags are ideal_a and ideal_b; ideal inputs
+    come back unchanged.  Broadcasts over leading axes.
+
+    Hyperboloid model (Ratcliffe, Foundations of Hyperbolic Manifolds, sec.
+    3.2): x lifts to W = ((1 + |x|^2) / 2, x), with <W, W> = -a^2 / 4 for
+    a = 1 - |x|^2 (0 at an ideal point) and -<W_a, W_b> = a_a a_b / 4 + g / 2
+    for g = |x_a - x_b|^2.  W_a - c W_b is null where a_b^2 c^2 -
+    2 (a_a a_b + 2 g) c + a_a^2 = 0.  Its smaller root, taken by Vieta as
+    c = a_a^2 / D with D = a_a a_b + 2 g + 2 sqrt(g (a_a a_b + g)), gives the
+    future null vector beyond a, whose ideal point is the unit spatial part
+    of x_a - c x_b.  D is a sum of nonnegative terms, so nothing cancels.
+    """
+    ideal_a = np.asarray(ideal_a)[..., None]
+    ideal_b = np.asarray(ideal_b)[..., None]
+    a_a = np.where(ideal_a, 0.0, 1.0 - np.sum(xa * xa, axis=-1, keepdims=True))
+    a_b = np.where(ideal_b, 0.0, 1.0 - np.sum(xb * xb, axis=-1, keepdims=True))
+    g = np.sum((xa - xb) ** 2, axis=-1, keepdims=True)
+    big = a_a * a_b + 2.0 * g + 2.0 * np.sqrt(g * (a_a * a_b + g))
+    u = xa - (a_a * a_a / big) * xb
+    v = xb - (a_b * a_b / big) * xa
+    u = np.where(ideal_a, xa, u / np.linalg.norm(u, axis=-1, keepdims=True))
+    v = np.where(ideal_b, xb, v / np.linalg.norm(v, axis=-1, keepdims=True))
+    return u, v
+
+
+def _geodesic_point_raw(u, v, t, lam):
+    """Points at arc-length parameters t on the geodesics from ideal u to
+    ideal v, with t = 0 at the anchor and t = -inf, +inf at u, v; broadcasts
+    over leading axes.
+
+    c(t) = (e^-s u + e^s v) / (e^-s + e^s + |u - v|) with s = lam t, the
+    projection of the hyperboloid point (e^-s U + e^s V) / |u - v| for the
+    null lifts U = (1, u), V = (1, v).  Numerator and denominator are scaled
+    by e^-|s|, so no term overflows.
+    """
+    s = lam * np.asarray(t, dtype=float)[..., None]
+    gap = np.linalg.norm(u - v, axis=-1, keepdims=True)
+    wu, wv = np.exp(np.minimum(-2.0 * s, 0.0)), np.exp(np.minimum(2.0 * s, 0.0))
+    return _clamp_interior((wu * u + wv * v) / (wu + wv + gap * np.exp(-np.abs(s))))
+
+
+def _geodesic_param_raw(u, v, x, lam):
+    """Arc-length parameters of the perpendicular feet of closure rows x on
+    the geodesics from ideal u to ideal v; -inf at u and +inf at v.
+
+    The level sets of |x - u| / |x - v| are the Apollonius spheres of u and
+    v, which meet every sphere through u and v at right angles: the unit
+    sphere and the geodesic.  So they are the hyperplanes perpendicular to
+    the geodesic, and on it ln(|x - u| / |x - v|) = lam t.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.log(np.linalg.norm(x - u, axis=-1) / np.linalg.norm(x - v, axis=-1)) / lam
+
+
+def _ideal_foot_reach(eps):
+    """The lam |t| beyond which an ideal point's foot counts as a geodesic's
+    own end: in the frame where the geodesic is the diameter along d, an
+    ideal point w has tanh(lam t / 2) = z / (1 + sqrt(1 - z^2)) with z = w.d,
+    increasing in z, so |z| > 1 - eps exactly when lam |t| exceeds
+    2 artanh((1 - eps) / (1 + sqrt(eps (2 - eps))))."""
+    return 2.0 * np.arctanh((1.0 - eps) / (1.0 + np.sqrt(eps * (2.0 - eps))))
+
+
 @dataclass(eq=False)
 class Geodesic:
-    """Complete geodesic through two closure points.
+    """Complete geodesic through two closure points, stored as its ideal
+    ends (u, v), u beyond ``a`` and v beyond ``b``.
 
     ``point_at`` is unit speed in the lam metric with ``point_at(0)`` at the
     anchor (the point of the arc nearest the ball's origin) and increasing
-    parameter running from the ``a`` side toward the ``b`` side.
+    parameter running from u toward v.
     """
 
     a: ClosurePoint
     b: ClosurePoint
-    anchor: BallPoint
-    unit_direction_at_anchor: np.ndarray
+    ideal_ends: tuple
     lam: float = 1.0
 
-    @cached_property
-    def ideal_ends(self):
-        """(a-side, b-side) ideal endpoints as unit vectors."""
-        m = self.anchor.coords
-        d = self.unit_direction_at_anchor
-        return _translate_ideal(m, -d), _translate_ideal(m, d)
+    @property
+    def anchor(self) -> BallPoint:
+        return BallPoint(_arc_frames_raw(*self.ideal_ends)[0])
+
+    @property
+    def unit_direction_at_anchor(self) -> np.ndarray:
+        return _arc_frames_raw(*self.ideal_ends)[1]
 
     @property
     def n(self):
-        return self.anchor.n
+        return self.ideal_ends[0].shape[0]
 
     def point_at(self, t: float) -> BallPoint:
         return BallPoint(self.point_at_raw(t))
 
     def point_at_raw(self, t):
-        return _geodesic_point_raw(self.anchor.coords, self.unit_direction_at_anchor,
-                                   t, self.lam)
+        return _geodesic_point_raw(*self.ideal_ends, t, self.lam)
 
-    def param_of(self, p: BallPoint) -> float:
-        """Arc-length parameter of an interior point lying on the geodesic."""
-        return float(self.param_of_raw(p.coords if isinstance(p, BallPoint) else p))
+    def param_of(self, p: ClosurePoint) -> float:
+        """Arc-length parameter of the perpendicular foot of a closure point
+        (the point's own parameter when it lies on the geodesic)."""
+        return float(self.param_of_raw(closure_coords(p) if isinstance(p, ClosurePoint) else p))
 
     def param_of_raw(self, coords):
-        return _geodesic_param_raw(self.anchor.coords, self.unit_direction_at_anchor,
-                                   coords, self.lam)
-
-
-def _geodesic_point_raw(m, d, t, lam):
-    """Points at arc-length parameters t on the geodesics with anchor m and
-    unit direction d at the anchor; broadcasts over leading axes."""
-    radial = np.tanh(0.5 * lam * np.asarray(t, dtype=float))
-    return _translate_interior(m, radial[..., None] * d)
-
-
-def _geodesic_param_raw(m, d, pts, lam):
-    """Arc-length parameters of points lying on the geodesics (m, d)."""
-    z = _mobius_add(-m, np.asarray(pts, dtype=float))
-    r = np.minimum(np.linalg.norm(z, axis=-1), 1.0 - INTERIOR_EPS)
-    return 2.0 * np.arctanh(r) * np.sign(np.sum(z * d, axis=-1)) / lam
+        return _geodesic_param_raw(*self.ideal_ends, coords, self.lam)
 
 
 def geodesic_between(a: ClosurePoint, b: ClosurePoint, k: CurvatureScale = K1) -> Geodesic:
     """The unique complete geodesic whose closure contains a and b."""
     if closure_eq(a, b):
         raise GeometryError("geodesic endpoints must be distinct closure points")
-    if is_ideal(a) and is_ideal(b):
-        u, v = a.direction, b.direction
-    elif not is_ideal(a):
-        w = _mobius_add(-a.coords, closure_coords(b))
-        nw = np.linalg.norm(w)
-        if nw < COINCIDENCE_EPS:
-            raise GeometryError("geodesic endpoints must be distinct closure points")
-        what = w / nw
-        u = _translate_ideal(a.coords, -what)
-        v = b.direction if is_ideal(b) else _translate_ideal(a.coords, what)
-    else:
-        # a ideal, b interior: build from b and flip orientation
-        w = _mobius_add(-b.coords, a.direction)
-        what = w / np.linalg.norm(w)
-        u = a.direction
-        v = _translate_ideal(b.coords, -what)
-    anchor, direction = _arc_frames_raw(u, v)
-    return Geodesic(a=a, b=b, anchor=BallPoint(anchor),
-                    unit_direction_at_anchor=direction, lam=k.lam)
+    u, v = _geodesic_ends_raw(closure_coords(a)[None], closure_coords(b)[None],
+                              [is_ideal(a)], [is_ideal(b)])
+    return Geodesic(a=a, b=b, ideal_ends=(u[0], v[0]), lam=k.lam)
 
 
 def normalize_to_diameter(g: Geodesic) -> MobiusIsometry:

@@ -56,9 +56,9 @@ from .model import (
     MobiusIsometry,
     TangentVector,
     _angle_raw,
-    _arc_frames_raw,
     _dist_raw,
     _exp_raw,
+    _geodesic_ends_raw,
     _geodesic_point_raw,
     _mobius_add,
     _ray_limit_raw,
@@ -186,6 +186,10 @@ def _ref_ideal(n):
     return IdealPoint(v)
 
 
+def _normalize_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def _padded(rng, ns, sampler, *args):
     """Rows of sampler(rng, count, n, *args) in the dimensions ns, drawn one
     call per dimension and zero-padded to three coordinates.  The model's
@@ -299,7 +303,7 @@ def check_trig_identity(cfg, rng):
             c = _padded(rng, ns, sample_ball_euclidean, 0.75)
             d1 = _padded(rng, ns, sample_boundary)
             d2 = _padded(rng, ns, sample_boundary)
-            d2 = coarse._normalize_rows(d2 - np.sum(d2 * d1, axis=1, keepdims=True) * d1)
+            d2 = _normalize_rows(d2 - np.sum(d2 * d1, axis=1, keepdims=True) * d1)
             legs = rng.uniform(0.05, 2.5, (count, 2))
             conf = lam * (1.0 - np.sum(c * c, axis=1, keepdims=True)) / 2.0
             va = _exp_raw(c, d1 * legs[:, :1] * conf, lam)
@@ -631,11 +635,10 @@ def _obtuse_hausdorff_sup(coords, flags):
     the legs xy and zx of the distance to yz.  Distance to the convex side yz
     is convex along a leg, so each leg's sup sits at one of its window ends.
     """
-    m, d, lo, hi = sides = coarse._prepare_side_data(coords, flags, 1.0, coarse.R_TRUNC)
-    leg_ends = _geodesic_point_raw(m[:, [0, 0, 2, 2]], d[:, [0, 0, 2, 2]],
+    u, v, lo, hi = sides = coarse._prepare_side_data(coords, flags, 1.0, coarse.R_TRUNC)
+    leg_ends = _geodesic_point_raw(u[:, [0, 0, 2, 2]], v[:, [0, 0, 2, 2]],
                                    np.stack([lo[:, 0], hi[:, 0], lo[:, 2], hi[:, 2]], 1), 1.0)
-    to_far = coarse._window_dist(leg_ends, m[:, 1:2], d[:, 1:2], np.tanh(0.5 * lo[:, 1:2]),
-                                 np.tanh(0.5 * hi[:, 1:2]), 1.0)
+    to_far = coarse._window_dist(leg_ends, u[:, 1:2], v[:, 1:2], lo[:, 1:2], hi[:, 1:2], 1.0)
     return _max_of(coarse._side_gaps(*sides, 1.0)[:, 1], to_far)
 
 
@@ -650,9 +653,8 @@ def check_lemma_2_4_bound(cfg, rng):
         same = _coincident(coords, flags, 1, 2)
         x = coords[:, 0]
         with np.errstate(invalid="ignore", divide="ignore"):
-            m, d = _arc_frames_raw(*coarse._batch_side_endpoints(
-                coords[:, 1], flags[:, 1], coords[:, 2], flags[:, 2]))
-            dist = _dist_raw(1.0, x, coarse._project_raw(x, m, d, 1.0))
+            u, v = _geodesic_ends_raw(coords[:, 1], coords[:, 2], flags[:, 1], flags[:, 2])
+            dist = coarse._window_dist(x, u, v, -np.inf, np.inf, 1.0)
         return dist, [("degenerate_frame", ~ok), ("geometry", same)]
 
     samples, worst, full, detail = _sampled_max(total, draw)
@@ -766,7 +768,7 @@ def check_lemma_2_6_proximity(cfg, rng):
         close = np.zeros(count, dtype=bool)
         for a, b in ((p, xi), (p, eta), (xi, eta)):
             close |= np.linalg.norm(a - b, axis=1) < 1e-3
-        x = _geodesic_point_raw(*_arc_frames_raw(p, xi), rng.uniform(-4.0, 4.0, count), 1.0)
+        x = _geodesic_point_raw(p, xi, rng.uniform(-4.0, 4.0, count), 1.0)
         vis, dist, ok = visual._proximity_raw(p, xi, eta, x, 1.0)
         return np.stack([vis, dist], axis=1), [("close_pair", close), ("geometry", ~ok)]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import _project_raw, orthogonal_project
+from .coarse import _window_dist, orthogonal_project
 from .errors import GeometryError
 from .maps import BoundaryMap
 from .model import (
@@ -24,8 +24,6 @@ from .model import (
     IdealPoint,
     K1,
     _angle_raw,
-    _arc_frames_raw,
-    _dist_raw,
     _mobius_add,
     closure_eq,
     geodesic_between,
@@ -98,8 +96,7 @@ def _proximity_raw(p, xi, eta, x, lam, on_ray_tol=1e-6):
     probe would raise: two of the ideal points coincide, or x lies farther
     than on_ray_tol from the geodesic p xi."""
     def line_dist(u, v):
-        m, d = _arc_frames_raw(u, v)
-        return _dist_raw(lam, x, _project_raw(x, m, d, lam))
+        return _window_dist(x, u, v, -np.inf, np.inf, lam)
 
     distinct = np.all([np.linalg.norm(a - b, axis=-1) > COINCIDENCE_EPS
                        for a, b in ((p, xi), (xi, eta), (p, eta))], axis=0)

@@ -4,14 +4,12 @@ distance, quasigeodesic deviation, comparison triangles, area defect."""
 import numpy as np
 import pytest
 
-from hypext import coarse
+from hypext import coarse, extension
 from hypext.coarse import (
     R_TRUNC,
     Triangle,
-    _foot_params_raw,
     _prepare_side_data,
     _quasicenter_descent,
-    _side_ends,
     _side_gaps,
     _window_dist,
     area_defect,
@@ -30,9 +28,11 @@ from hypext.model import (
     IdealPoint,
     K1,
     MobiusIsometry,
+    _arc_frames_raw,
     _dist_raw,
     _geodesic_point_raw,
     _mobius_add,
+    _translate_ideal,
     angle,
     apply_mobius,
     geodesic_between,
@@ -87,6 +87,41 @@ class TestProjection:
         g = geodesic_between(IdealPoint(-E1), IdealPoint(E1))
         with pytest.raises(GeometryError):
             orthogonal_project(IdealPoint(E1), g)
+
+    def test_end_guards_match_frame_tests(self):
+        # an ideal point is a geodesic's own end when its axial component
+        # w.d in the geodesic's Mobius frame exceeds 1 - eps: eps = 1e-10
+        # drops an extension foot and eps = 1e-12 refuses a projection.
+        # Points sit 5% inside and outside each guard.
+        gen = np.random.default_rng(31)
+        for n in (2, 3):
+            for lam in (1.0, 2.0):
+                us = gen.normal(size=(2, n))
+                u, v = us / np.linalg.norm(us, axis=1, keepdims=True)
+                m, d = _arc_frames_raw(u, v)
+                side = gen.normal(size=(8, n))
+                side -= np.outer(side @ d, d)
+                side /= np.linalg.norm(side, axis=1, keepdims=True)
+                g = geodesic_between(IdealPoint(u), IdealPoint(v), CurvatureScale(lam))
+                for eps in (1e-10, 1e-12):
+                    z = np.array([1, -1] * 4) * (1.0 - eps * np.repeat([1.05, 0.95], 4))
+                    w = z[:, None] * d + np.sqrt(1.0 - z * z)[:, None] * side
+                    pts = _translate_ideal(m, w)
+                    outside = np.abs(_translate_ideal(-m, pts) @ d) > 1.0 - eps
+                    assert np.array_equal(outside, np.repeat([False, True], 4))
+                    if eps == 1e-10:
+                        dropped = np.isnan(extension._ideal_feet(pts, u, v, lam))
+                        assert np.array_equal(dropped, outside)
+                        continue
+                    for x, out in zip(pts, outside):
+                        if out:
+                            with pytest.raises(GeometryError):
+                                orthogonal_project(IdealPoint(x), g)
+                        else:
+                            assert np.all(np.isfinite(orthogonal_project(IdealPoint(x), g).coords))
+                for end in (u, v):
+                    with pytest.raises(GeometryError):
+                        orthogonal_project(IdealPoint(end), g)
 
     def test_distance_to_quarter_geodesic(self):
         # independent circle oracle: sinh d(0, arc(e1, e2)) = 1
@@ -150,7 +185,7 @@ class TestThinness:
         flags = np.array([[True, False, False]])
         for lam in (1.0, 2.0):
             sides = _prepare_side_data(coords, flags, lam, R_TRUNC)
-            u, v = _side_ends(*sides[:2])
+            u, v = sides[:2]
             assert np.array_equal(u[0, 0], v[0, 2])
             gaps = _side_gaps(*sides, lam)
             assert np.all(np.isfinite(gaps))
@@ -209,6 +244,23 @@ class TestThinness:
                 vals = thinness_batch(coords, flags, CurvatureScale(lam))
                 assert np.max(np.abs(vals - LN_1_SQRT2 / lam)) <= 1e-9
 
+    def test_near_sphere_vertices_lie_on_their_sides(self):
+        # interior vertices of these draws reach |x| ~ 0.9999, where ends
+        # found through Mobius translations by a vertex missed the far
+        # vertex by up to 1.2e-4
+        for coords, flags in _near_sphere_triangles():
+            u, v, _, _ = _prepare_side_data(coords, flags, 2.0, R_TRUNC)
+            for side, vertex in ((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)):
+                keep = ~flags[:, vertex]
+                miss = _window_dist(coords[keep, vertex], u[keep, side], v[keep, side],
+                                    -np.inf, np.inf, 2.0)
+                assert np.max(miss) <= 1e-9
+
+    def test_near_sphere_thinness_stays_below_sup(self):
+        # all-ideal triangles attain ln(1 + sqrt 2) / lam and none exceeds it
+        for coords, flags in _near_sphere_triangles():
+            assert np.max(thinness_batch(coords, flags, K2)) <= LN_1_SQRT2 / 2.0 + 1e-12
+
     def test_maximum_at_window_end(self):
         # a short truncation leaves side 0 without a crossing of its two
         # distances, and that side's end carries the triangle's thinness
@@ -223,6 +275,29 @@ class TestThinness:
         assert np.all(np.sign(diff) == np.sign(diff[0]))
         assert np.argmax(gaps[0]) in (0, DENSE - 1)
         assert val == pytest.approx(gaps.max(), abs=1e-12)
+
+
+def _oracle_line_dist(x, u, v, lam):
+    """Distance from ball point x to the geodesic (u, v) at 50 digits:
+    cosh^2 d = 2 <X, U> <X, V> / (-<U, V>) for X the unit timelike lift of
+    x and U = (1, u), V = (1, v) null.  -<W, U> = (1 + |x|^2) / 2 - x.u for
+    W = X (1 - |x|^2) / 2, and u, v are renormalized at 50 digits, since
+    float unit vectors are not null."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x, u, v = ([mpmath.mpf(float(c)) for c in row] for row in (x, u, v))
+        u, v = ([c / mpmath.sqrt(sum(e * e for e in w)) for c in w] for w in (u, v))
+        x2 = sum(c * c for c in x)
+        xu, xv = ((1 + x2) / 2 - sum(a * b for a, b in zip(x, w)) for w in (u, v))
+        cosh2 = 8 * xu * xv / ((1 - x2) ** 2 * (1 - sum(a * b for a, b in zip(u, v))))
+        return float(mpmath.acosh(mpmath.sqrt(cosh2)) / lam)
+
+
+def _near_sphere_triangles():
+    """5000 lam = 2, radius-5 triangles per dimension 2 and 3 (seed 10)."""
+    gen = np.random.default_rng(10)
+    return [_random_triangles(gen, 5000, n, 2.0, radius=5.0) for n in (2, 3)]
 
 
 def _check_against_dense(gen, r_trunc):
@@ -242,21 +317,21 @@ def _check_against_dense(gen, r_trunc):
                 assert np.all(got <= ref + 0.5 * step + 1e-12)
 
 
-def _bisection_gaps(m_all, d_all, lo_all, hi_all, lam, steps=48):
+def _bisection_gaps(u_all, v_all, lo_all, hi_all, lam, steps=48):
     """Reference side gaps by bisection on the sign of d_A - d_B, each
     distance measured by _window_dist; 48 steps narrow a window of at most
     40 below 1.5e-13, and the largest gap evaluated is kept."""
-    count, _, n = m_all.shape
+    count, _, n = u_all.shape
     others = np.array([[1, 2], [2, 0], [0, 1]])
-    m, dirs = m_all.reshape(-1, n), d_all.reshape(-1, n)
-    nbr_m = m_all[:, others].reshape(-1, 2, n)
-    nbr_d = d_all[:, others].reshape(-1, 2, n)
-    nbr_s_lo = np.tanh(0.5 * lam * lo_all)[:, others].reshape(-1, 2)
-    nbr_s_hi = np.tanh(0.5 * lam * hi_all)[:, others].reshape(-1, 2)
+    u, v = u_all.reshape(-1, n), v_all.reshape(-1, n)
+    nbr_u = u_all[:, others].reshape(-1, 2, n)
+    nbr_v = v_all[:, others].reshape(-1, 2, n)
+    nbr_lo = lo_all[:, others].reshape(-1, 2)
+    nbr_hi = hi_all[:, others].reshape(-1, 2)
 
     def dists(t):
-        pts = _geodesic_point_raw(m, dirs, t, lam)
-        return _window_dist(pts[:, None, :], nbr_m, nbr_d, nbr_s_lo, nbr_s_hi, lam)
+        pts = _geodesic_point_raw(u, v, t, lam)
+        return _window_dist(pts[:, None, :], nbr_u, nbr_v, nbr_lo, nbr_hi, lam)
 
     lo, hi = lo_all.reshape(-1), hi_all.reshape(-1)
     d_lo = dists(lo)
@@ -273,13 +348,30 @@ def _bisection_gaps(m_all, d_all, lo_all, hi_all, lam, steps=48):
 
 # Dense reference for thinness and quasicenters: DENSE points of each side
 # window, and distances from them to the other two windows by
-# model._dist_raw to the perpendicular foot clamped into the window.
+# model._dist_raw to the perpendicular foot clamped into the window.  It
+# reaches points through the Mobius frame of each side (its anchor m and
+# unit direction d), apart from the model's kernels on ideal ends.
 DENSE = 16384
 
 
-def _dense_side_points(m, d, lo, hi, lam):
+def _frame_foot(w, d, lam):
+    """Foot parameter on the diameter along d of frame points w = m (-) x.
+
+    tanh(lam t / 2) = 2 z1 / (1 + |w|^2 + sqrt(disc)) with z1 = w.d; the
+    discriminant (1 + |w|^2)^2 - 4 z1^2 is factored so points near the axis
+    and near the sphere do not cancel catastrophically."""
+    z1 = np.sum(w * d, axis=-1)
+    perp = w - z1[..., None] * d
+    rho2 = np.sum(perp * perp, axis=-1)
+    disc = ((1.0 - z1) ** 2 + rho2) * ((1.0 + z1) ** 2 + rho2)
+    s = 2.0 * z1 / ((1.0 + np.sum(w * w, axis=-1)) + np.sqrt(disc))
+    return 2.0 * np.arctanh(np.clip(s, -1.0 + 1e-12, 1.0 - 1e-12)) / lam
+
+
+def _dense_side_points(u, v, lo, hi, lam):
     """(B, 3, DENSE, n) evenly spaced points of each side window, and the
     sample spacing of each side (B, 3)."""
+    m, d = _arc_frames_raw(u, v)
     ts = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, DENSE)
     pts = _mobius_add(m[:, :, None], np.tanh(0.5 * lam * ts)[..., None] * d[:, :, None])
     return pts, (hi - lo) / (DENSE - 1)
@@ -288,13 +380,14 @@ def _dense_side_points(m, d, lo, hi, lam):
 def _dense_side_distances(coords, flags, lam, r_trunc=R_TRUNC):
     """(B, 3, DENSE, 2) distances from the points of each side window to the
     windows of the other two sides, and the sample spacing of each side (B, 3)."""
-    m, d, lo, hi = _prepare_side_data(coords, flags, lam, r_trunc)
-    side_pts, spacing = _dense_side_points(m, d, lo, hi, lam)
+    u, v, lo, hi = _prepare_side_data(coords, flags, lam, r_trunc)
+    m, d = _arc_frames_raw(u, v)
+    side_pts, spacing = _dense_side_points(u, v, lo, hi, lam)
     out = np.empty(side_pts.shape[:-1] + (2,))
     for i in range(3):
         pts = side_pts[:, i]
         for slot, j in enumerate(o for o in range(3) if o != i):
-            foot = _foot_params_raw(_mobius_add(-m[:, j, None], pts), d[:, j, None], lam)
+            foot = _frame_foot(_mobius_add(-m[:, j, None], pts), d[:, j, None], lam)
             foot = np.clip(foot, lo[:, j, None], hi[:, j, None])
             near = _mobius_add(m[:, j, None], np.tanh(0.5 * lam * foot)[..., None]
                                * d[:, j, None])
@@ -304,6 +397,28 @@ def _dense_side_distances(coords, flags, lam, r_trunc=R_TRUNC):
 
 def _triangle(coords, flags):
     return Triangle(*(IdealPoint(c) if f else BallPoint(c) for c, f in zip(coords, flags)))
+
+
+class TestWindowDistance:
+    def test_near_sphere_lines_match_oracle(self):
+        # lines whose ends are 0.8-1.6e-4 apart have their anchor at
+        # |m| ~ 0.99994; each point lies within 0.5 of the anchor, and the
+        # window holds its foot
+        gen = np.random.default_rng(41)
+        lam = 2.0
+        for n in (2, 3):
+            e, f = np.linalg.qr(gen.normal(size=(100, n, 2)))[0].transpose(2, 0, 1)
+            half = gen.uniform(0.4e-4, 0.8e-4, (100, 1))
+            u = np.cos(half) * e - np.sin(half) * f
+            v = np.cos(half) * e + np.sin(half) * f
+            m = _arc_frames_raw(u, v)[0]
+            dirs = gen.normal(size=(100, n))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            radial = np.tanh(0.5 * lam * gen.uniform(0.0, 0.5, (100, 1)))
+            x = _mobius_add(m, radial * dirs)
+            got = _window_dist(x, u, v, -np.inf, np.inf, lam)
+            ref = [_oracle_line_dist(*row, lam) for row in zip(x, u, v)]
+            assert np.max(np.abs(got - ref)) <= 1e-9
 
 
 class TestQuasicenter:
@@ -354,29 +469,27 @@ class TestQuasicenter:
             assert hyp_dist(K1, w, w_seed) < 1e-4
 
     def test_never_above_descent(self):
-        # the float side frames miss the exact side lines (by <= 9e-10 on
-        # radius-3 draws; see CHANGES.md), so the incenter's three window
-        # distances agree only to their accuracy.  Distance to each window
-        # is convex and the feet surround the point, so no point has a
-        # largest window distance below the smallest of the three: the
-        # value is within their spread of the minimum.
+        # the incenter's three window distances agree to rounding, also on
+        # the lam = 2, radius-5 rows, whose vertices reach |x| ~ 0.9999.
+        # Distance to each window is convex and the feet surround the point,
+        # so no point has a largest window distance below the smallest of
+        # the three: the value is within their spread of the minimum.
         gen = np.random.default_rng(25)
-        for lam in (1.0, 1.5, 2.0):
+        draws = [(lam, n, 3.0) for lam in (1.0, 1.5, 2.0) for n in (2, 3)]
+        for lam, n, radius in draws + [(2.0, 2, 5.0), (2.0, 3, 5.0)]:
             k = CurvatureScale(lam)
-            for n in (2, 3):
-                coords, flags = _random_triangles(gen, 10, n, lam, ideal_prob=0.3, radius=3.0)
-                sides = _prepare_side_data(coords, flags, lam, R_TRUNC)
-                for row, row_flags, m, d, lo, hi in zip(coords, flags, *sides):
-                    tri = _triangle(row, row_flags)
-                    w, val = quasicenter(tri, k)
-                    w_descent, val_descent, _, _ = _quasicenter_descent(tri, k)
-                    dist = _window_dist(w.coords, m, d, np.tanh(0.5 * lam * lo),
-                                        np.tanh(0.5 * lam * hi), lam)
-                    spread = dist.max() - dist.min()
-                    assert val == dist.max() and spread <= 1e-9
-                    assert val <= val_descent + spread + 1e-12
-                    if n == 2:
-                        assert hyp_dist(k, w, w_descent) <= 1e-9
+            coords, flags = _random_triangles(gen, 10, n, lam, ideal_prob=0.3, radius=radius)
+            sides = _prepare_side_data(coords, flags, lam, R_TRUNC)
+            for row, row_flags, u, v, lo, hi in zip(coords, flags, *sides):
+                tri = _triangle(row, row_flags)
+                w, val = quasicenter(tri, k)
+                w_descent, val_descent, _, _ = _quasicenter_descent(tri, k)
+                dist = _window_dist(w.coords, u, v, lo, hi, lam)
+                spread = dist.max() - dist.min()
+                assert val == dist.max() and spread <= 1e-9
+                assert val <= val_descent + spread + 1e-12
+                if n == 2:
+                    assert hyp_dist(k, w, w_descent) <= 1e-9
 
     def test_plane_triangles_stay_in_plane(self):
         # 2-D triangles embedded at z = 0 in 3-D: the incenter lies in the
