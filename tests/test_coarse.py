@@ -92,7 +92,7 @@ class TestProjection:
         # an ideal point is a geodesic's own end when its axial component
         # w.d in the geodesic's Mobius frame exceeds 1 - eps: eps = 1e-10
         # drops an extension foot and eps = 1e-12 refuses a projection.
-        # Points sit 5% inside and outside each guard.
+        # Points sit at 1 - |w.d| = 1.05 eps (inside) and 0.95 eps (outside).
         gen = np.random.default_rng(31)
         for n in (2, 3):
             for lam in (1.0, 2.0):
