@@ -40,17 +40,6 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-def _round12(obj):
-    """Recursively round floats to 12 significant digits for JSON output."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
-
-
 def _load_config(path):
     if path is None:
         return {}

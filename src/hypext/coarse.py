@@ -101,11 +101,11 @@ def _triangle_arrays(t: Triangle):
     return coords, flags
 
 
-def thinness(t: Triangle, k: CurvatureScale = K1, *, r_trunc: float = R_TRUNC) -> float:
+def thinness(t: Triangle, k: CurvatureScale = K1) -> float:
     """Smallest delta for which each side lies in the delta-neighborhood of
     the other two, found exactly by the crossing search of thinness_batch."""
     coords, flags = _triangle_arrays(t)
-    return float(thinness_batch(coords, flags, k, r_trunc=r_trunc)[0])
+    return float(thinness_batch(coords, flags, k)[0])
 
 
 # --- batched thinness (the scalar op wraps batch size 1) --------------------
@@ -273,8 +273,7 @@ def _side_gaps(u_all, v_all, lo_all, hi_all, lam):
     return np.max([gap(best_w), gap(w_lo), gap(w_hi)], axis=0).reshape(count, 3)
 
 
-def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
-                   r_trunc: float = R_TRUNC) -> np.ndarray:
+def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1) -> np.ndarray:
     """Thinness of many triangles at once: the largest of each triangle's
     three side gaps, found exactly by a crossing search (see _side_gaps).
 
@@ -282,7 +281,7 @@ def thinness_batch(coords, ideal_flags, k: CurvatureScale = K1, *,
     """
     coords = np.asarray(coords, dtype=float)
     ideal_flags = np.asarray(ideal_flags, dtype=bool)
-    sides = _prepare_side_data(coords, ideal_flags, k.lam, r_trunc)
+    sides = _prepare_side_data(coords, ideal_flags, k.lam, R_TRUNC)
     return _side_gaps(*sides, k.lam).max(axis=1)
 
 
@@ -343,8 +342,7 @@ def quasicenter(t: Triangle, k: CurvatureScale = K1):
     return _quasicenter_descent(t, k)[:2]
 
 
-def _quasicenter_descent(t: Triangle, k: CurvatureScale = K1, *, seed=None,
-                         max_iter: int = 10_000, f_tol: float = 1e-10):
+def _quasicenter_descent(t: Triangle, k: CurvatureScale = K1, *, seed=None):
     """The quasicenter by derivative-free simplex descent in ball coordinates.
 
     Minimizes the same window distances as quasicenter, starting from the
@@ -370,7 +368,7 @@ def _quasicenter_descent(t: Triangle, k: CurvatureScale = K1, *, seed=None,
     if seed is not None:
         simplex = simplex + np.random.default_rng(seed).uniform(-0.01, 0.01, simplex.shape)
     simplex = _clamp_interior(simplex)
-    iters_left = max_iter
+    iters_left = 10_000
     best_x, best_f = start, objective(start)
     nfev = runs = 0
     # restart the simplex from the incumbent until the value stalls; the
@@ -379,7 +377,7 @@ def _quasicenter_descent(t: Triangle, k: CurvatureScale = K1, *, seed=None,
     for _ in range(6):
         res = optimize.minimize(objective, best_x, method="Nelder-Mead",
                                 options={"maxiter": iters_left, "xatol": 1e-10,
-                                         "fatol": f_tol,
+                                         "fatol": 1e-10,
                                          "initial_simplex": simplex})
         nfev += int(res.nfev)
         runs += 1
@@ -387,7 +385,7 @@ def _quasicenter_descent(t: Triangle, k: CurvatureScale = K1, *, seed=None,
         improved = best_f - res.fun
         if res.fun < best_f:
             best_x, best_f = res.x, float(res.fun)
-        if iters_left <= 0 or improved < f_tol:
+        if iters_left <= 0 or improved < 1e-10:
             break
         simplex = _clamp_interior(np.vstack([best_x, best_x + 1e-4 * np.eye(n)]))
     point = BallPoint(_clamp_interior(best_x))
@@ -422,7 +420,7 @@ def hausdorff_distance(k: CurvatureScale, set_a, set_b) -> float:
 
 
 def quasigeodesic_deviation(path, a: ClosurePoint, b: ClosurePoint,
-                            k: CurvatureScale = K1, *, geodesic_samples=None) -> float:
+                            k: CurvatureScale = K1) -> float:
     """Hausdorff distance between a sampled path and the geodesic ab.
 
     The geodesic is sampled over the parameter window spanned by the path
@@ -436,8 +434,7 @@ def quasigeodesic_deviation(path, a: ClosurePoint, b: ClosurePoint,
               for end, row in ((a, pts[0]), (b, pts[-1])))
     if lo > hi:
         lo, hi = hi, lo
-    count = geodesic_samples or max(256, 4 * pts.shape[0])
-    geo = g.point_at_raw(np.linspace(lo, hi, count))
+    geo = g.point_at_raw(np.linspace(lo, hi, max(256, 4 * pts.shape[0])))
     return hausdorff_distance(k, pts, geo)
 
 

@@ -28,11 +28,12 @@ from .model import (
     IdealPoint,
     K1,
     _check_in_ball,
+    _direction_raw,
     _dist_raw,
     _geodesic_param_raw,
     _geodesic_point_raw,
     _ideal_foot_reach,
-    _mobius_add,
+    _shoot_raw,
     _translate_ideal,
 )
 from .sampling import rng_from, sample_ball_hyperbolic, sample_boundary
@@ -71,8 +72,7 @@ class ProjectionSpan:
 
 def _q_axis(xs, p):
     """Unit direction at each row x of the ray toward q_x, away from p."""
-    toward_p = _mobius_add(-xs, p)
-    return -toward_p / np.linalg.norm(toward_p, axis=-1, keepdims=True)
+    return -_direction_raw(xs, p)
 
 
 def _q_raw(xs, p):
@@ -282,8 +282,8 @@ def continuity_modulus(h: BoundaryMap, cfg: ExtensionConfig, radius: float,
     lam = cfg.k.lam
     bases = sample_ball_hyperbolic(rng, n_base, n, lam, radius)
     dirs = sample_boundary(rng, n_base * n_dirs, n).reshape(n_base, n_dirs, n)
-    radial = np.tanh(0.5 * lam * eps_grid)[:, None, None, None]
-    spheres = _mobius_add(bases[:, None, :], radial * dirs)       # (eps, base, dir, n)
+    # (eps, base, dir, n): the points at distance eps along each direction
+    spheres = _shoot_raw(bases[:, None, :], dirs, eps_grid[:, None, None], lam)
     images = _extend_batch(h, cfg, np.concatenate([bases, spheres.reshape(-1, n)])).image
     gaps = _dist_raw(lam, images[:n_base, None, :],
                      images[n_base:].reshape(spheres.shape)).reshape(len(eps_grid), -1)

@@ -19,8 +19,7 @@ from .model import (
     IdealPoint,
     K1,
     MobiusIsometry,
-    _clamp_interior,
-    _mobius_add,
+    _shoot_raw,
 )
 
 
@@ -182,10 +181,7 @@ class InteriorMap:
             base = self.params["iso"].apply_interior_raw(pts)
             lam = self.params["lam"]
             amp = self.params["amplitude"] * _jitter_scale(pts)
-            direction = _jitter_direction(pts)
-            radial = np.tanh(0.5 * lam * np.abs(amp)) * np.sign(amp)
-            step = radial[..., None] * direction
-            return _clamp_interior(_mobius_add(base, step))
+            return _shoot_raw(base, _jitter_direction(pts), amp, lam)
         raise GeometryError(f"unknown interior family {fam!r}")
 
     def __call__(self, x: BallPoint) -> BallPoint:
@@ -196,8 +192,7 @@ class InteriorMap:
         if fam == "mobius":
             return mobius_boundary(self.params["iso"])
         if fam == "polar_warp":
-            bmap = angle_warp if self.params["axis"][0] == 1.0 else latitude_warp
-            return bmap(self.params["amp"], self.params["freq"], self.n)
+            return angle_warp(self.params["amp"], self.params["freq"], self.n)
         if fam == "jittered_isometry":
             return mobius_boundary(self.params["iso"])
         raise GeometryError(f"unknown interior family {fam!r}")
@@ -214,11 +209,11 @@ def mobius_map(iso: MobiusIsometry) -> InteriorMap:
     return InteriorMap("mobius", iso.n, 1.0, 0.0, {"iso": iso})
 
 
-def polar_warp(amp: float, freq: int, n: int = 2, *, axis: str = "first") -> InteriorMap:
+def polar_warp(amp: float, freq: int, n: int = 2) -> InteriorMap:
     _check_warp_params(amp, freq)
     return InteriorMap("polar_warp", n, _warp_bilipschitz(amp, freq), 0.0,
                        {"amp": float(amp), "freq": int(freq),
-                        "axis": _axis_vector(n, axis)})
+                        "axis": _axis_vector(n, "first")})
 
 
 def jittered_isometry(iso: MobiusIsometry, amplitude: float,

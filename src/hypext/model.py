@@ -7,9 +7,13 @@ sphere; ideal boundary points are unit vectors.  A geodesic is its two ideal
 ends (u, v), and three row-wise kernels work on ends directly, with no change
 of frame: the ends of the geodesic through two closure points, the point at
 an arc-length parameter, and the parameter of a closure point's
-perpendicular foot.  Mobius translations (gyro additions) supply exact
-isometries; the exponential map, directions and angles reduce their input to
-the origin with them, apply a closed form, and map back.
+perpendicular foot.  Distance to a line is the distance to the point at its
+foot's parameter, and the visual distance e^(-d(x, uv)) is read from it.
+Mobius translations (gyro additions) supply exact isometries, and two more
+kernels reduce their input to the origin with them: the direction at x
+toward a closure point (``_direction_raw``) and the point at signed distance
+r from x along a unit direction (``_shoot_raw``).  The exponential and log
+maps and angles are built on these and on ``_dist_raw``.
 """
 
 from dataclasses import dataclass, field
@@ -110,10 +114,10 @@ def is_ideal(p: ClosurePoint) -> bool:
     return isinstance(p, IdealPoint)
 
 
-def closure_eq(p: ClosurePoint, q: ClosurePoint, tol: float = COINCIDENCE_EPS) -> bool:
+def closure_eq(p: ClosurePoint, q: ClosurePoint) -> bool:
     if is_ideal(p) != is_ideal(q):
         return False
-    return bool(np.linalg.norm(closure_coords(p) - closure_coords(q)) <= tol)
+    return bool(np.linalg.norm(closure_coords(p) - closure_coords(q)) <= COINCIDENCE_EPS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,15 +276,6 @@ class MobiusIsometry:
     def n(self):
         kind, data = self.steps[0]
         return data.shape[0] if kind == "t" else data.shape[1]
-
-    @property
-    def orientation(self) -> int:
-        """+1 for orientation preserving, -1 otherwise."""
-        sign = 1.0
-        for kind, data in self.steps:
-            if kind == "r":
-                sign *= np.sign(np.linalg.det(data))
-        return int(sign)
 
     def then(self, other: "MobiusIsometry") -> "MobiusIsometry":
         """Isometry applying self first, then other."""
@@ -460,6 +455,16 @@ def normalize_to_diameter(g: Geodesic) -> MobiusIsometry:
 # exponential map, rays, angles
 # ---------------------------------------------------------------------------
 
+def _shoot_raw(x, d, r, lam):
+    """Row-wise points at signed distance r from ball rows x along unit
+    direction rows d at curvature -lam^2 (backward for negative r): the
+    point tanh(lam r / 2) d at distance r from the origin, translated to x.
+    Broadcasts over leading axes; r and lam are scalars or one value per row.
+    """
+    step = np.tanh(0.5 * lam * np.asarray(r, dtype=float))[..., None] * d
+    return _translate_interior(x, step)
+
+
 def _exp_raw(x, v, lam):
     """Row-wise exp_map: follow the geodesic from base rows x with Euclidean
     tangent rows v for their length at curvature -lam^2; zero rows stay at
@@ -470,7 +475,7 @@ def _exp_raw(x, v, lam):
     nv = np.linalg.norm(v, axis=-1)
     length = 2.0 / (lam * (1.0 - np.sum(x * x, axis=-1))) * nv
     unit = np.divide(v, nv[..., None], out=np.zeros_like(v), where=nv[..., None] > 0.0)
-    return _translate_interior(x, np.tanh(0.5 * lam * length)[..., None] * unit)
+    return _shoot_raw(x, unit, length, lam)
 
 
 def _direction_raw(x, target):
@@ -516,13 +521,11 @@ def exp_map(x: BallPoint, v: TangentVector, k: CurvatureScale = K1) -> BallPoint
 
 def log_map(x: BallPoint, y: BallPoint, k: CurvatureScale = K1) -> TangentVector:
     """Inverse of exp_map: the initial velocity of the geodesic x -> y."""
-    w = _mobius_add(-x.coords, y.coords)
-    nw = np.linalg.norm(w)
-    if nw < COINCIDENCE_EPS:
+    d = _direction_raw(x.coords[None], y.coords[None])[0]
+    if np.isnan(d[0]):
         raise GeometryError("log_map requires distinct points")
-    length = 2.0 * np.arctanh(min(nw, 1.0 - INTERIOR_EPS)) / k.lam
-    scale = length * k.lam * (1.0 - np.dot(x.coords, x.coords)) / 2.0
-    return TangentVector(x, (w / nw) * scale)
+    length = _dist_raw(k.lam, x.coords, y.coords)
+    return TangentVector(x, d * (length * k.lam * (1.0 - np.dot(x.coords, x.coords)) / 2.0))
 
 
 def ray_limit(x: BallPoint, v: TangentVector) -> IdealPoint:
@@ -554,7 +557,7 @@ def angle(x: BallPoint, y: ClosurePoint, z: ClosurePoint) -> float:
 
 
 def right_triangle_residual(k: CurvatureScale, va: BallPoint, vb: BallPoint,
-                            vc: BallPoint, *, right_angle_tol: float = 1e-9) -> float:
+                            vc: BallPoint) -> float:
     """Residual cosh(lam a) sin(B) - cos(A) for a right angle at vc.
 
     ``a`` is the side opposite va.  Exactly built right triangles keep the
@@ -562,6 +565,6 @@ def right_triangle_residual(k: CurvatureScale, va: BallPoint, vb: BallPoint,
     """
     residual, gamma = _right_triangle_residual_raw(
         k.lam, va.coords[None], vb.coords[None], vc.coords[None])
-    if not abs(gamma[0] - np.pi / 2.0) <= right_angle_tol:
+    if not abs(gamma[0] - np.pi / 2.0) <= 1e-9:
         raise GeometryError(f"angle at the right-angle vertex is {gamma[0]!r}, not pi/2")
     return float(residual[0])

@@ -56,13 +56,14 @@ from .model import (
     MobiusIsometry,
     TangentVector,
     _angle_raw,
+    _direction_raw,
     _dist_raw,
-    _exp_raw,
     _geodesic_ends_raw,
     _geodesic_point_raw,
     _mobius_add,
     _ray_limit_raw,
     _right_triangle_residual_raw,
+    _shoot_raw,
     apply_mobius,
     exp_map,
     geodesic_between,
@@ -162,8 +163,8 @@ def _random_rotation(rng, n):
     return rotation_taking(u, v)
 
 
-def _random_isometry(rng, n, max_shift=0.7):
-    shift = sample_ball_euclidean(rng, 1, n, max_shift)[0]
+def _random_isometry(rng, n):
+    shift = sample_ball_euclidean(rng, 1, n, 0.7)[0]
     return (MobiusIsometry.translation(shift)
             .then(MobiusIsometry.rotation(_random_rotation(rng, n))))
 
@@ -305,9 +306,8 @@ def check_trig_identity(cfg, rng):
             d2 = _padded(rng, ns, sample_boundary)
             d2 = _normalize_rows(d2 - np.sum(d2 * d1, axis=1, keepdims=True) * d1)
             legs = rng.uniform(0.05, 2.5, (count, 2))
-            conf = lam * (1.0 - np.sum(c * c, axis=1, keepdims=True)) / 2.0
-            va = _exp_raw(c, d1 * legs[:, :1] * conf, lam)
-            vb = _exp_raw(c, d2 * legs[:, 1:] * conf, lam)
+            va = _shoot_raw(c, d1, legs[:, 0], lam)
+            vb = _shoot_raw(c, d2, legs[:, 1], lam)
             residual, gamma = _right_triangle_residual_raw(lam, va, vb, c)
             return residual, [("geometry", ~np.isfinite(residual)),
                                  ("not_right_angle", ~(np.abs(gamma - np.pi / 2.0) <= 1e-9))]
@@ -425,8 +425,7 @@ def check_ray_limit_homeo(cfg, rng):
         collapsed = float(np.linalg.norm(u1.direction - u2.direction) < 1e-8)
         # constructive surjectivity: invert and shoot back
         target = sample_boundary(rng, 1, n)[0]
-        w = _mobius_add(-x.coords, target)
-        again = ray_limit(x, TangentVector(x, w / np.linalg.norm(w)))
+        again = ray_limit(x, TangentVector(x, _direction_raw(x.coords[None], target[None])[0]))
         return _one_row(causes, value=_max_of(collapsed,
                                               np.linalg.norm(again.direction - target)))
 
@@ -517,11 +516,9 @@ def _admissible_angle_config(rng, count, min_angle, ideal_prob=0.5, radius=3.0):
     phi = rng.uniform(min_angle, np.pi * 0.98, (count, 1))
     dirs = np.stack([d1, np.cos(phi) * d1 + np.sin(phi) * d2], axis=1)
     ideal = rng.uniform(size=(count, 2)) < ideal_prob
-    reach = rng.uniform(0.3, 6.0, (count, 2, 1))
-    conf = (1.0 - np.sum(x * x, axis=1))[:, None, None] / 2.0
+    reach = rng.uniform(0.3, 6.0, (count, 2))
     xs = np.repeat(x[:, None, :], 2, axis=1)
-    ends = np.where(ideal[:, :, None], _ray_limit_raw(xs, dirs),
-                    _exp_raw(xs, dirs * reach * conf, 1.0))
+    ends = np.where(ideal[:, :, None], _ray_limit_raw(xs, dirs), _shoot_raw(xs, dirs, reach, 1.0))
     coords = np.concatenate([x[:, None, :], ends], axis=1)
     flags = np.concatenate([np.zeros((count, 1), dtype=bool), ideal], axis=1)
     return coords, flags, ok
@@ -539,9 +536,7 @@ def _thick_base_config(rng, count, min_angle, max_angle, reach):
     the partner angle at y still needs checking."""
     x = sample_ball_hyperbolic(rng, count, 2, 1.0, 3.0)
     d = sample_boundary(rng, count, 2)
-    dist = rng.uniform(*reach, (count, 1))
-    conf = (1.0 - np.sum(x * x, axis=1, keepdims=True)) / 2.0
-    y = _exp_raw(x, d * dist * conf, 1.0)
+    y = _shoot_raw(x, d, rng.uniform(*reach, count), 1.0)
     side = np.where(rng.uniform(size=(count, 1)) < 0.5, 1.0, -1.0)
     w = np.stack([-d[:, 1], d[:, 0]], axis=1) * side
     alpha = rng.uniform(min_angle, max_angle, (count, 1))
@@ -557,10 +552,8 @@ def check_lemma_2_1_gap(cfg, rng):
     def draw(count):
         x, y, cone = _thick_base_config(rng, count, floor, np.pi * 0.7, (1.0, 5.0))
         interior = rng.uniform(size=(count, 1)) < 0.5
-        reach_z = rng.uniform(0.5, 5.0, (count, 1))
-        conf = (1.0 - np.sum(x * x, axis=1, keepdims=True)) / 2.0
-        zc = np.where(interior, _exp_raw(x, cone * reach_z * conf, 1.0),
-                      _ray_limit_raw(x, cone))
+        reach_z = rng.uniform(0.5, 5.0, count)
+        zc = np.where(interior, _shoot_raw(x, cone, reach_z, 1.0), _ray_limit_raw(x, cone))
         ax = _angle_raw(x, y, zc)
         ay = _angle_raw(y, x, zc)
         return ax + ay, [("geometry", ~np.isfinite(ax + ay)),
@@ -610,11 +603,9 @@ def check_lemma_2_3_small_angle(cfg, rng):
         x = _padded(rng, ns, sample_ball_hyperbolic, 1.0, 3.0)
         d = _padded(rng, ns, sample_boundary)
         zdir = _padded(rng, ns, sample_boundary)
-        reach = rng.uniform(1.0, 4.0, (count, 1))
-        conf = (1.0 - np.sum(x * x, axis=1, keepdims=True)) / 2.0
-        z = _exp_raw(x, zdir * reach * conf, 1.0)
+        z = _shoot_raw(x, zdir, rng.uniform(1.0, 4.0, count), 1.0)
         frac = rng.uniform(0.2, 1.0, (count, 1))
-        y = _exp_raw(x[:, None], (d * frac * conf)[:, None] * s_grid[:, None], 1.0)
+        y = _shoot_raw(x[:, None], d[:, None], frac * s_grid, 1.0)
         ang = _angle_raw(z[:, None], x[:, None], y)
         return ang, [("geometry", ~np.all(np.isfinite(ang), axis=1))]
 
@@ -800,9 +791,7 @@ def check_lemma_2_7_perpendicular(cfg, rng):
             rows = ns == n
             x[rows, :n] = sample_ball_hyperbolic(rng, int(rows.sum()), n, lam[rows], 3.0)
         d = _padded(rng, ns, sample_boundary)
-        reach = rng.uniform(1e-3, 1.5, (count, 1))
-        conf = lam[:, None] * (1.0 - np.sum(x * x, axis=1, keepdims=True)) / 2.0
-        y = _exp_raw(x, d * reach * conf, lam)
+        y = _shoot_raw(x, d, rng.uniform(1e-3, 1.5, count), lam)
         xi = _padded(rng, ns, sample_boundary)
         ang, ok = visual._near_perpendicular_raw(x, y, xi)
         margin = np.sin(ang) - 1.0 / np.cosh(lam * _dist_raw(lam, x, y))

@@ -2,10 +2,10 @@
 
 The representative d_x(u, v) = e^(-d(x, uv)) is used exactly (band constant
 1): downstream claims are ratio and order statements, so any representative
-in the band gives the same verdicts.  The scalar op routes through the
-orthogonal projection; the batch evaluator uses a closed form obtained by
-translating the basepoint to the origin, and the two are test-checked
-against each other.
+in the band gives the same verdicts.  One row kernel, ``visual_dist_many``,
+reads d(x, uv) from the geodesic's ideal ends (the distance to the point at
+x's foot parameter, ``coarse._window_dist``); the scalar op and the probes
+call it, and a 50-digit hyperboloid oracle tests it.
 """
 
 import csv
@@ -25,9 +25,7 @@ from .model import (
     K1,
     _angle_raw,
     _mobius_add,
-    closure_eq,
     geodesic_between,
-    hyp_dist,
 )
 from .sampling import rng_from, sample_ball_hyperbolic, sample_boundary
 
@@ -38,39 +36,25 @@ class VisualConfig:
     k: CurvatureScale = K1
 
 
+def visual_dist_many(base_coords, lam, us, vs) -> np.ndarray:
+    """Row-wise e^(-d(base, geodesic uv)) for ball rows base_coords and
+    ideal rows us, vs at curvature -lam^2; broadcasts over leading axes.
+    Rows whose ends coincide (within COINCIDENCE_EPS) read exactly 0."""
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    same = np.linalg.norm(us - vs, axis=-1) <= COINCIDENCE_EPS
+    dist = _window_dist(base_coords, us, vs, -np.inf, np.inf, lam)
+    return np.where(same, 0.0, np.exp(-dist))
+
+
 def visual_dist(cfg: VisualConfig, xi: IdealPoint, eta: IdealPoint) -> float:
     """e^(-d(base, geodesic xi eta)); zero exactly when xi = eta."""
-    if closure_eq(xi, eta):
-        return 0.0
     # canonical endpoint order keeps the value bit-exact under swapping
     if tuple(eta.direction) < tuple(xi.direction):
         xi, eta = eta, xi
-    g = geodesic_between(xi, eta, cfg.k)
-    foot = orthogonal_project(cfg.base, g)
-    return float(np.exp(-hyp_dist(cfg.k, cfg.base, foot)))
+    return float(visual_dist_many(cfg.base.coords, cfg.k.lam, xi.direction, eta.direction))
 
 
-def visual_dist_many(base_coords, lam, us, vs) -> np.ndarray:
-    """Closed-form batch version of visual_dist for ideal rows us, vs.
-
-    After translating the basepoint to the origin the distance to the
-    geodesic between unit vectors w1, w2 depends only on s = <w1, w2>:
-    e^(-d) = (sqrt(2) + sqrt(1-s) - sqrt(1+s)) / (sqrt(2) + sqrt(1-s) + sqrt(1+s)).
-    """
-    base = np.asarray(base_coords, dtype=float)
-    w1 = _mobius_add(-base, np.asarray(us, dtype=float))
-    w2 = _mobius_add(-base, np.asarray(vs, dtype=float))
-    w1 = w1 / np.linalg.norm(w1, axis=-1, keepdims=True)
-    w2 = w2 / np.linalg.norm(w2, axis=-1, keepdims=True)
-    s = np.clip(np.sum(w1 * w2, axis=-1), -1.0, 1.0)
-    lo = np.sqrt(1.0 - s)
-    hi = np.sqrt(1.0 + s)
-    base_val = (np.sqrt(2.0) + lo - hi) / (np.sqrt(2.0) + lo + hi)
-    return base_val ** (1.0 / lam)
-
-
-def angle_visual_probe(cfg: VisualConfig, samples: int, *, seed=0,
-                       spread_radius: float = 3.0) -> np.ndarray:
+def angle_visual_probe(cfg: VisualConfig, samples: int, *, seed=0) -> np.ndarray:
     """Paired (d_x(xi, eta), angle_x(xi, eta)) rows over random basepoints
     near cfg.base and random distinct boundary pairs."""
     if samples < 1:
@@ -78,7 +62,7 @@ def angle_visual_probe(cfg: VisualConfig, samples: int, *, seed=0,
     rng = rng_from(seed)
     n = cfg.base.n
     lam = cfg.k.lam
-    centers = sample_ball_hyperbolic(rng, samples, n, lam, spread_radius)
+    centers = sample_ball_hyperbolic(rng, samples, n, lam, 3.0)
     centers = _mobius_add(cfg.base.coords, centers)
     us = sample_boundary(rng, samples, n)
     vs = sample_boundary(rng, samples, n)
@@ -90,27 +74,26 @@ def angle_visual_probe(cfg: VisualConfig, samples: int, *, seed=0,
                             _angle_raw(centers, us, vs)])
 
 
-def _proximity_raw(p, xi, eta, x, lam, on_ray_tol=1e-6):
+def _proximity_raw(p, xi, eta, x, lam):
     """Row-wise geodesic_proximity_probe over ideal rows p, xi, eta and ball
     rows x: (d_x(xi, eta), d(x, geodesic p eta), ok).  ok is False where the
     probe would raise: two of the ideal points coincide, or x lies farther
-    than on_ray_tol from the geodesic p xi."""
+    than 1e-6 from the geodesic p xi."""
     def line_dist(u, v):
         return _window_dist(x, u, v, -np.inf, np.inf, lam)
 
     distinct = np.all([np.linalg.norm(a - b, axis=-1) > COINCIDENCE_EPS
                        for a, b in ((p, xi), (xi, eta), (p, eta))], axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ok = distinct & (line_dist(p, xi) <= on_ray_tol)
-        return np.exp(-line_dist(xi, eta)), line_dist(p, eta), ok
+        ok = distinct & (line_dist(p, xi) <= 1e-6)
+        return visual_dist_many(x, lam, xi, eta), line_dist(p, eta), ok
 
 
 def geodesic_proximity_probe(p: IdealPoint, xi: IdealPoint, eta: IdealPoint,
-                             x: BallPoint, k: CurvatureScale = K1,
-                             *, on_ray_tol: float = 1e-6):
+                             x: BallPoint, k: CurvatureScale = K1):
     """(d_x(xi, eta), d(x, geodesic p eta)) for x on the geodesic p xi."""
     vis, dist, ok = _proximity_raw(p.direction[None], xi.direction[None],
-                                   eta.direction[None], x.coords[None], k.lam, on_ray_tol)
+                                   eta.direction[None], x.coords[None], k.lam)
     if not ok[0]:
         raise GeometryError("probe needs three distinct boundary points and x on the "
                             "geodesic between p and xi")

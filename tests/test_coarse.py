@@ -39,6 +39,7 @@ from hypext.model import (
     hyp_dist,
 )
 from hypext.verify import _random_isometry, _random_triangles
+from hyperboloid_oracle import oracle_line_dist
 
 K2 = CurvatureScale(2.0)
 E1 = np.array([1.0, 0.0])
@@ -267,7 +268,7 @@ class TestThinness:
         coords = np.stack([ideal(11).direction, ideal(136).direction,
                            ideal(272).direction])[None]
         flags = np.ones((1, 3), dtype=bool)
-        val = thinness_batch(coords, flags, K1, r_trunc=1.0)[0]
+        val = _side_gaps(*_prepare_side_data(coords, flags, 1.0, 1.0), 1.0).max()
         dist, _ = _dense_side_distances(coords, flags, 1.0, r_trunc=1.0)
         gaps = dist[0].min(axis=-1)
         assert np.argmax(gaps.max(axis=1)) == 0
@@ -275,23 +276,6 @@ class TestThinness:
         assert np.all(np.sign(diff) == np.sign(diff[0]))
         assert np.argmax(gaps[0]) in (0, DENSE - 1)
         assert val == pytest.approx(gaps.max(), abs=1e-12)
-
-
-def _oracle_line_dist(x, u, v, lam):
-    """Distance from ball point x to the geodesic (u, v) at 50 digits:
-    cosh^2 d = 2 <X, U> <X, V> / (-<U, V>) for X the unit timelike lift of
-    x and U = (1, u), V = (1, v) null.  -<W, U> = (1 + |x|^2) / 2 - x.u for
-    W = X (1 - |x|^2) / 2, and u, v are renormalized at 50 digits, since
-    float unit vectors are not null."""
-    import mpmath
-
-    with mpmath.workdps(50):
-        x, u, v = ([mpmath.mpf(float(c)) for c in row] for row in (x, u, v))
-        u, v = ([c / mpmath.sqrt(sum(e * e for e in w)) for c in w] for w in (u, v))
-        x2 = sum(c * c for c in x)
-        xu, xv = ((1 + x2) / 2 - sum(a * b for a, b in zip(x, w)) for w in (u, v))
-        cosh2 = 8 * xu * xv / ((1 - x2) ** 2 * (1 - sum(a * b for a, b in zip(u, v))))
-        return float(mpmath.acosh(mpmath.sqrt(cosh2)) / lam)
 
 
 def _near_sphere_triangles():
@@ -310,7 +294,7 @@ def _check_against_dense(gen, r_trunc):
             dist, spacing = _dense_side_distances(coords, flags, lam, r_trunc)
             side_ref = dist.min(axis=-1).max(axis=2)
             gaps = _side_gaps(*_prepare_side_data(coords, flags, lam, r_trunc), lam)
-            vals = thinness_batch(coords, flags, CurvatureScale(lam), r_trunc=r_trunc)
+            vals = gaps.max(axis=1)
             for got, ref, step in ((gaps, side_ref, spacing),
                                    (vals, side_ref.max(axis=1), spacing.max(axis=1))):
                 assert np.all(got >= ref - 1e-12)
@@ -417,7 +401,7 @@ class TestWindowDistance:
             radial = np.tanh(0.5 * lam * gen.uniform(0.0, 0.5, (100, 1)))
             x = _mobius_add(m, radial * dirs)
             got = _window_dist(x, u, v, -np.inf, np.inf, lam)
-            ref = [_oracle_line_dist(*row, lam) for row in zip(x, u, v)]
+            ref = [oracle_line_dist(*row, lam) for row in zip(x, u, v)]
             assert np.max(np.abs(got - ref)) <= 1e-9
 
 

@@ -21,6 +21,7 @@ from hypext.model import (
     _exp_raw,
     _ray_limit_raw,
     _right_triangle_residual_raw,
+    _shoot_raw,
     angle,
     apply_mobius,
     direction_at,
@@ -377,6 +378,21 @@ class TestRowWiseKernels:
         pad = lambda a: np.hstack([a, np.zeros((a.shape[0], 1))])
         assert np.array_equal(pad(_exp_raw(x, v, lam)), _exp_raw(pad(x), pad(v), lam))
         assert np.array_equal(_angle_raw(x, y, u), _angle_raw(pad(x), pad(y), pad(u)))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shoot_rows_at_signed_distance(self, n):
+        # per-row curvature and signed distances: a row lies at |r| from x,
+        # seen along d for r > 0 and along -d for r < 0; r = 0 stays at x
+        gen = rng_from(50 + n)
+        lams = gen.choice([1.0, 1.5, 2.0], self.ROWS)
+        x = sample_ball_hyperbolic(gen, self.ROWS, n, lams, 2.0)
+        d = sample_boundary(gen, self.ROWS, n)
+        r = gen.uniform(0.1, 3.0, self.ROWS) * np.where(np.arange(self.ROWS) % 2, -1.0, 1.0)
+        r[:4] = 0.0
+        y = _shoot_raw(x, d, r, lams)
+        assert np.array_equal(y[:4], x[:4])
+        assert np.abs(_dist_raw(lams, x, y)[4:] / np.abs(r[4:]) - 1.0).max() <= 1e-12
+        assert np.abs(_direction_raw(x, y)[4:] - np.sign(r[4:, None]) * d[4:]).max() <= 1e-12
 
     def test_right_triangle_rows_match_scalar(self):
         gen = rng_from(5)

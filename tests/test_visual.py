@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from hypext.coarse import orthogonal_project
 from hypext.errors import GeometryError
 from hypext.maps import angle_warp, identity_map, mobius_boundary, translation_along_first_axis
 from hypext.model import (
@@ -14,7 +13,6 @@ from hypext.model import (
     CurvatureScale,
     IdealPoint,
     K1,
-    geodesic_between,
     hyp_dist,
 )
 from hypext.sampling import rng_from, sample_ball_hyperbolic, sample_boundary
@@ -29,6 +27,7 @@ from hypext.visual import (
     visual_dist,
     visual_dist_many,
 )
+from hyperboloid_oracle import oracle_line_dist
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -65,23 +64,20 @@ class TestVisualDist:
             b = visual_dist(cfg, IdealPoint(us[1]), IdealPoint(us[0]))
             assert a == b > 0.0
 
-    def test_sandwich_identity_against_projection(self):
-        # dual route: closed-form batch evaluator vs explicit projection
+    def test_rows_match_oracle(self):
+        # 50 rows per (n, lam), bases out to radius 5, ends an angle apart
+        # that is log-uniform in [1e-6, 1]; coincident ends read exactly 0
         gen = rng_from(1)
-        for _ in range(40):
-            n = int(gen.integers(2, 4))
-            lam = float(gen.choice([1.0, 2.0]))
-            k = CurvatureScale(lam)
-            x = BallPoint(sample_ball_hyperbolic(gen, 1, n, lam, 4.0)[0])
-            us = sample_boundary(gen, 2, n)
-            if np.linalg.norm(us[0] - us[1]) < 1e-3:
-                continue
-            foot = orthogonal_project(x, geodesic_between(IdealPoint(us[0]),
-                                                          IdealPoint(us[1]), k))
-            via_projection = np.exp(-hyp_dist(k, x, foot))
-            closed_form = visual_dist_many(x.coords, lam, us[0][None, :],
-                                           us[1][None, :])[0]
-            assert closed_form == pytest.approx(via_projection, abs=1e-9)
+        for n in (2, 3):
+            for lam in (1.0, 2.0):
+                x = sample_ball_hyperbolic(gen, 50, n, lam, 5.0)
+                e, f = np.linalg.qr(gen.normal(size=(50, n, 2)))[0].transpose(2, 0, 1)
+                sep = 10.0 ** gen.uniform(-6.0, 0.0, (50, 1))
+                u, v = e, np.cos(sep) * e + np.sin(sep) * f
+                got = visual_dist_many(x, lam, u, v)
+                ref = np.exp(-np.array([oracle_line_dist(*row, lam) for row in zip(x, u, v)]))
+                assert np.max(np.abs(got / ref - 1.0)) <= 1e-9
+                assert visual_dist_many(x[0], lam, u[0], u[0]) == 0.0
 
 
 class TestAngleBridge:
